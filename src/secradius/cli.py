@@ -223,6 +223,11 @@ def _cmd_plot(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_scan(args, parser: argparse.ArgumentParser) -> int:
+    # an unset flag leaves the target's own default in force
+    solver = {
+        key: value for key, value in (("grid", args.grid), ("tol", args.tol))
+        if value is not None
+    }
     if args.target == "conjecture2":
         lo, hi = _parse_sections(parser, args.sections or "2..30")
         if lo < 2:
@@ -232,16 +237,15 @@ def _cmd_scan(args, parser: argparse.ArgumentParser) -> int:
             atom_count=args.atom_count,
             n_max=hi,
             seed=args.seed,
-            grid=args.grid,
-            tol=args.tol,
             n_min=lo,
+            **solver,
         )
         found = bool(report.parameters["counterexample_found"])
     else:
         lo, hi = _parse_sections(parser, args.sections or "5..40")
         if lo < 5:
             parser.error("the classical threshold is stated for n >= 5")
-        report = classical_radius_scan(lo, hi)
+        report = classical_radius_scan(lo, hi, **solver)
         found = not report.passed
     _emit(_report_payload(report), args.out)
     if found:
@@ -321,8 +325,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--atom-count", type=int, default=3, help="atoms per spec")
     p.add_argument("--sections", help="inclusive section range a..b")
     p.add_argument("--seed", type=int, default=11, help="sampling seed")
-    p.add_argument("--grid", type=int, default=512, help="boundary grid size")
-    p.add_argument("--tol", type=float, default=1e-7, help="bisection tolerance")
+    p.add_argument(
+        "--grid",
+        type=int,
+        help="boundary grid size (default: 512 for conjecture2, 2048 for classical)",
+    )
+    p.add_argument(
+        "--tol",
+        type=float,
+        help="bisection tolerance (default: 1e-7 for conjecture2, 1e-9 for classical)",
+    )
     p.add_argument("--out", help="report path (default: standard output)")
     p.set_defaults(func=_cmd_scan)
 
@@ -339,9 +351,11 @@ def _validate_common(args, parser: argparse.ArgumentParser) -> None:
         parser.error("--section must be at least 1")
     if getattr(args, "samples", 8) < 8:
         parser.error("--samples must be at least 8")
-    if getattr(args, "grid", 16) < 16:
+    grid = getattr(args, "grid", None)
+    if grid is not None and grid < 16:
         parser.error("--grid must be at least 16")
-    if getattr(args, "tol", 1e-9) < 1e-12:
+    tol = getattr(args, "tol", None)
+    if tol is not None and tol < 1e-12:
         parser.error("--tol must be at least 1e-12")
     if getattr(args, "index", 0) < 0:
         parser.error("--index must be non-negative")

@@ -14,13 +14,16 @@ local-univalence   |s'(z)|                        s' does not vanish
 =================  =============================  =========================
 
 Each field is harmonic wherever its defining quotient is analytic, so its
-minimum over a closed disc sits on the bounding circle.  :func:`boundary_min`
-locates that circle minimum with a uniform grid scan followed by
-golden-section refinement.  :func:`criterion_radius` bisects on the radius;
-before accepting a probe for the quotient criteria it counts denominator
-zeros inside the disc with :func:`count_zeros` (an argument-principle
-quadrature), since a positive boundary minimum proves nothing once a pole
-has slipped inside the contour.
+minimum over a closed disc sits on the bounding circle.  Every field is
+built from at most two polynomials, a numerator and a denominator, whose
+coefficients come from one table.  :func:`boundary_min` locates the circle
+minimum with a uniform grid scan, whose values come from one inverse FFT
+per polynomial, followed by golden-section refinement, which evaluates the
+polynomials pointwise by Horner's scheme.  :func:`criterion_radius` bisects
+on the radius; before accepting a probe for the quotient criteria it counts
+denominator zeros inside the disc with :func:`count_zeros` (an
+argument-principle quadrature on the same FFT evaluator), since a positive
+boundary minimum proves nothing once a pole has slipped inside the contour.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -41,7 +43,7 @@ from .exceptions import (
     WindingError,
     ZeroOnCircleError,
 )
-from .series import TruncatedSeries, derivative, is_normalized
+from .series import TruncatedSeries, is_normalized
 
 __all__ = [
     "Criterion",
@@ -139,77 +141,32 @@ def criterion_value(s: TruncatedSeries, criterion: Criterion, z: complex) -> flo
     :class:`PoleProximityError` when the denominator modulus falls below the
     representable floor.
     """
-    criterion = Criterion(criterion)
-    z = complex(z)
-    if criterion is Criterion.RE_DERIV:
-        return _horner(_rev_deriv(s), z).real
-    if criterion is Criterion.LOCAL_UNIVALENCE:
-        return abs(_horner(_rev_deriv(s), z))
-    if criterion is Criterion.CONVEXITY:
-        sp = _horner(_rev_deriv(s), z)
-        if abs(sp) < _POLE_TOL:
-            raise PoleProximityError(z, "s' vanishes at the evaluation point")
-        spp = _horner(_rev_deriv2(s), z)
-        return (1.0 + z * spp / sp).real
-    # starlikeness
-    if z == 0:
-        return 1.0
-    sv = _horner(_rev_coeffs(s), z)
-    if abs(sv) < _POLE_TOL:
-        raise PoleProximityError(z, "s vanishes at the evaluation point")
-    sp = _horner(_rev_deriv(s), z)
-    return (z * sp / sv).real
+    return _point_field(_field_parts(s, Criterion(criterion)))(complex(z))
 
 
-_POWER_BLOCK = 256
+def _field_parts(
+    s: TruncatedSeries, criterion: Criterion
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Coefficients (num, den) of the polynomials that make up the field.
 
-
-@lru_cache(maxsize=4)
-def _unit_block(grid: int) -> np.ndarray:
-    """e^{i m theta_k} for m < 256 on the uniform grid, Fortran-ordered.
-
-    Column-major layout keeps every ``[:, :ncols]`` slice BLAS-ready without
-    a copy, so one cached block serves scans of every polynomial order.
+    The field is Re num when ``den`` is None, |den| when ``num`` is None and
+    Re(num/den) otherwise; :func:`_point_field` and :func:`_grid_field`
+    evaluate it.  ``den`` is also the guard polynomial whose zeros inside
+    the disc void the boundary argument.  For starlikeness num(0)/den(0) =
+    c_1/c_1, so z = 0 needs no special case.
     """
-    k = np.arange(grid, dtype=np.float64)[:, None] * np.arange(
-        _POWER_BLOCK, dtype=np.float64
-    )
-    return np.asfortranarray(np.exp((2j * np.pi / grid) * k))
-
-
-def _unit_powers(grid: int, ncols: int) -> np.ndarray:
-    """Matrix of e^{i m theta_k} on the uniform grid, cached across scans."""
-    if ncols <= _POWER_BLOCK:
-        return _unit_block(grid)[:, :ncols]
-    k = np.arange(grid, dtype=np.float64)[:, None] * np.arange(ncols, dtype=np.float64)
-    return np.exp((2j * np.pi / grid) * k)
-
-
-def _circle_values(coeffs: np.ndarray, r: float, grid: int) -> np.ndarray:
-    """Values of the polynomial with ``coeffs`` at r * grid-th roots of unity."""
-    scaled = coeffs * (r ** np.arange(coeffs.size))
-    return _unit_powers(grid, coeffs.size) @ scaled
-
-
-def _deriv_coeffs(coeffs: np.ndarray) -> np.ndarray:
-    out = coeffs[1:] * np.arange(1, coeffs.size)
-    if out.size == 0:
-        out = np.zeros(1, dtype=np.complex128)
-    return out
-
-
-def _rev_coeffs(s: TruncatedSeries) -> list[complex]:
-    return [complex(c) for c in s.coeffs[::-1]]
-
-
-def _rev_deriv(s: TruncatedSeries) -> list[complex]:
-    n = s.coeffs.size
-    return [complex(m * s.coeffs[m]) for m in range(n - 1, 0, -1)] or [0j]
-
-
-def _rev_deriv2(s: TruncatedSeries) -> list[complex]:
-    n = s.coeffs.size
-    return [complex(m * (m - 1) * s.coeffs[m]) for m in range(n - 1, 1, -1)] or [0j]
+    c = s.coeffs
+    m = np.arange(1, c.size)
+    ds = c[1:] * m
+    if criterion is Criterion.RE_DERIV:
+        return ds, None
+    if criterion is Criterion.LOCAL_UNIVALENCE:
+        return None, ds
+    if criterion is Criterion.CONVEXITY:
+        # 1 + z s''/s' = (z s')'/s', and (z s')' = sum m^2 c_m z^(m-1)
+        return ds * m, ds
+    # z s'/s = s'/(s/z); s/z drops the zero of s at the origin
+    return ds, c[1:]
 
 
 def _horner(rev: list[complex], z: complex) -> complex:
@@ -219,83 +176,71 @@ def _horner(rev: list[complex], z: complex) -> complex:
     return v
 
 
-def _grid_field(
-    s: TruncatedSeries, criterion: Criterion, r: float, grid: int
-) -> np.ndarray:
-    """Criterion values at all grid points of the circle |z| = r."""
-    coeffs = s.coeffs
-    dcoeffs = _deriv_coeffs(coeffs)
-    if criterion is Criterion.RE_DERIV:
-        return _circle_values(dcoeffs, r, grid).real.copy()
-    if criterion is Criterion.LOCAL_UNIVALENCE:
-        return np.abs(_circle_values(dcoeffs, r, grid))
-    z = r * _unit_powers(grid, 2)[:, 1]
-    if criterion is Criterion.CONVEXITY:
-        sp = _circle_values(dcoeffs, r, grid)
-        bad = int(np.argmin(np.abs(sp)))
-        if abs(sp[bad]) < _POLE_TOL:
-            raise PoleProximityError(complex(z[bad]), "s' vanishes on the scan circle")
-        spp = _circle_values(_deriv_coeffs(dcoeffs), r, grid)
-        return (1.0 + z * spp / sp).real.copy()
-    sv = _circle_values(coeffs, r, grid)
-    bad = int(np.argmin(np.abs(sv)))
-    if abs(sv[bad]) < _POLE_TOL:
-        raise PoleProximityError(complex(z[bad]), "s vanishes on the scan circle")
-    sp = _circle_values(dcoeffs, r, grid)
-    return (z * sp / sv).real.copy()
+def _point_field(parts: tuple) -> Callable[[complex], float]:
+    """Closure evaluating the field of :func:`_field_parts` output at a point.
 
-
-def _scalar_field(
-    s: TruncatedSeries, criterion: Criterion, r: float
-) -> Callable[[float], float]:
-    """Closure evaluating the criterion at angle theta on |z| = r.
-
-    Plain-Python simultaneous Horner (value and derivatives accumulated in
-    one pass): for the short polynomials handled here this beats assembling
-    numpy arrays point by point inside the refinement loop.
+    Plain-Python Horner on pre-reversed coefficient lists: for the short
+    polynomials handled here this beats assembling numpy arrays point by
+    point inside the refinement loop.
     """
-    rev_s = _rev_coeffs(s)
-    rev_d = _rev_deriv(s)
+    rev_num, rev_den = (None if p is None else p[::-1].tolist() for p in parts)
+    if rev_den is None:
+        return lambda z: _horner(rev_num, z).real
+    if rev_num is None:
+        return lambda z: abs(_horner(rev_den, z))
 
-    if criterion is Criterion.RE_DERIV:
+    def quotient(z: complex) -> float:
+        den = _horner(rev_den, z)
+        if abs(den) < _POLE_TOL:
+            raise PoleProximityError(z, "field denominator vanishes at the point")
+        return (_horner(rev_num, z) / den).real
 
-        def fn(theta: float) -> float:
-            return _horner(rev_d, r * cmath.exp(1j * theta)).real
+    return quotient
 
-    elif criterion is Criterion.LOCAL_UNIVALENCE:
 
-        def fn(theta: float) -> float:
-            return abs(_horner(rev_d, r * cmath.exp(1j * theta)))
+def _circle_values(coeffs: np.ndarray, w: complex, grid: int) -> np.ndarray:
+    """Values of the polynomial with ``coeffs`` at w times the grid-th roots of unity.
 
-    elif criterion is Criterion.CONVEXITY:
+    One inverse FFT.  Powers m and m + grid meet the same roots, so a longer
+    coefficient array is folded modulo ``grid`` first; ``ifft(n=grid)``
+    alone would truncate it.
+    """
+    scaled = coeffs * w ** np.arange(coeffs.size)
+    if scaled.size > grid:
+        scaled = np.pad(scaled, (0, -scaled.size % grid)).reshape(-1, grid).sum(axis=0)
+    return np.fft.ifft(scaled, n=grid, norm="forward")
 
-        def fn(theta: float) -> float:
-            z = r * cmath.exp(1j * theta)
-            v = 0j
-            d = 0j
-            e = 0j
-            for c in rev_s:
-                e = e * z + d
-                d = d * z + v
-                v = v * z + c
-            if abs(d) < _POLE_TOL:
-                raise PoleProximityError(z, "s' vanishes during refinement")
-            return (1.0 + z * (2.0 * e) / d).real
 
-    else:
+def _grid_field(parts: tuple, r: float, grid: int) -> np.ndarray:
+    """Field of ``parts`` at the angles 2 pi k / grid on the circle |z| = r."""
+    num, den = (None if p is None else _circle_values(p, r, grid) for p in parts)
+    if den is None:
+        return num.real
+    if num is None:
+        return np.abs(den)
+    bad = int(np.argmin(np.abs(den)))
+    if abs(den[bad]) < _POLE_TOL:
+        z = cmath.rect(r, bad * _TWO_PI / grid)
+        raise PoleProximityError(z, "field denominator vanishes on the scan circle")
+    return (num / den).real
 
-        def fn(theta: float) -> float:
-            z = r * cmath.exp(1j * theta)
-            v = 0j
-            d = 0j
-            for c in rev_s:
-                d = d * z + v
-                v = v * z + c
-            if abs(v) < _POLE_TOL:
-                raise PoleProximityError(z, "s vanishes during refinement")
-            return (z * d / v).real
 
-    return fn
+def _circle_min(
+    vals: np.ndarray, fn: Callable[[float], float], theta_tol: float = 1e-12
+) -> tuple[float, float]:
+    """Minimum over the circle of ``fn``, sampled as ``vals`` at 2 pi k / len(vals).
+
+    Golden-section search refines the grid argmin (the smallest theta on
+    exact ties) over its two adjacent cells down to ``theta_tol``.  Returns
+    the lexicographic minimum of (value, theta) over everything evaluated,
+    with theta wrapped into [0, 2*pi).
+    """
+    step = _TWO_PI / vals.size
+    k = int(np.argmin(vals))
+    theta_k = k * step
+    gx, gv = golden_section_min(fn, theta_k - step, theta_k + step, theta_tol)
+    value, theta = min((float(vals[k]), theta_k), (gv, gx))
+    return value, theta % _TWO_PI
 
 
 def boundary_min(
@@ -318,18 +263,15 @@ def boundary_min(
         raise DomainError(f"scan radius must lie in (0, 1), got {r}")
     if grid_size < 16:
         raise ValidationError(f"grid must have at least 16 points, got {grid_size}")
-    vals = _grid_field(s, criterion, r, grid_size)
-    k = int(np.argmin(vals))
-    step = _TWO_PI / grid_size
-    theta_k = k * step
-    fn = _scalar_field(s, criterion, r)
-    gx, gv = golden_section_min(fn, theta_k - step, theta_k + step, theta_tol)
-    value, theta = min((float(vals[k]), theta_k), (gv, gx))
+    parts = _field_parts(s, criterion)
+    vals = _grid_field(parts, r, grid_size)
+    field = _point_field(parts)
+    value, theta = _circle_min(vals, lambda t: field(r * cmath.exp(1j * t)), theta_tol)
     return BoundaryScan(
         r=r,
         grid_size=grid_size,
         min_value=value,
-        argmin_theta=theta % _TWO_PI,
+        argmin_theta=theta,
         refined=True,
     )
 
@@ -362,21 +304,23 @@ def count_zeros(
         if abs(coeffs[0]) < boundary_tol:
             raise ZeroOnCircleError("constant term below tolerance; series is ~0")
         return 0
-    dcoeffs = _deriv_coeffs(coeffs)
+    zds = coeffs * np.arange(coeffs.size)  # z s'(z)
 
-    def batch(thetas: np.ndarray) -> complex:
-        z = r * np.exp(1j * thetas)
-        sv = _poly_vals(coeffs, z)
+    def level(m: int, phase: float) -> complex:
+        # sum of z s'/s over the m points r e^{i (phase + 2 pi k / m)}
+        w = cmath.rect(r, phase)
+        sv = _circle_values(coeffs, w, m)
         small = int(np.argmin(np.abs(sv)))
         if abs(sv[small]) < boundary_tol:
             raise ZeroOnCircleError(
-                f"|s| = {abs(sv[small]):.3e} at theta = {thetas[small]:.12f} "
+                f"|s| = {abs(sv[small]):.3e} at theta = "
+                f"{phase + small * _TWO_PI / m:.12f} "
                 f"on |z| = {r}; zero too close to the circle"
             )
-        return complex(np.sum(z * _poly_vals(dcoeffs, z) / sv))
+        return complex(np.sum(_circle_values(zds, w, m) / sv))
 
     m = start
-    total = batch(_TWO_PI * np.arange(m) / m)
+    total = level(m, 0.0)
     prev: int | None = None
     while True:
         w = total / m
@@ -393,28 +337,9 @@ def count_zeros(
             raise WindingError(
                 f"winding mean {w!r} not settled within {m} quadrature points"
             )
-        total += batch(_TWO_PI * (2.0 * np.arange(m) + 1.0) / (2 * m))
+        # the next level's points sit halfway between the current ones
+        total += level(m, math.pi / m)
         m *= 2
-
-
-def _poly_vals(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Vectorized Horner evaluation of a coefficient array on a point array."""
-    v = np.full(z.shape, coeffs[-1], dtype=np.complex128)
-    for c in coeffs[-2::-1]:
-        v *= z
-        v += c
-    return v
-
-
-def _guard_series(s: TruncatedSeries, criterion: Criterion) -> TruncatedSeries | None:
-    """Polynomial whose in-disc zeros invalidate the boundary argument."""
-    if criterion in (Criterion.CONVEXITY, Criterion.LOCAL_UNIVALENCE):
-        return derivative(s)
-    if criterion is Criterion.STARLIKENESS:
-        # s vanishes at the origin by normalization; deflate one power of z
-        # so only the *other* zeros of s are counted.
-        return TruncatedSeries(s.coeffs[1:])
-    return None
 
 
 def criterion_radius(
@@ -437,7 +362,8 @@ def criterion_radius(
         raise ValidationError("criterion_radius requires a normalized series")
     if tol < 1e-12:
         raise ValidationError(f"tolerance must be at least 1e-12, got {tol}")
-    guard = _guard_series(s, criterion)
+    den = _field_parts(s, criterion)[1]
+    guard = None if den is None else TruncatedSeries(den)
 
     def value_ok(r: float) -> bool:
         try:

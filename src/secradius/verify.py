@@ -35,6 +35,7 @@ from .exceptions import CrossCheckError, DomainError, ValidationError
 from .radius import (
     Criterion,
     RadiusResult,
+    _circle_min,
     boundary_min,
     criterion_radius,
     golden_section_min,
@@ -133,12 +134,9 @@ def min_g(grid: int = 2048) -> VerificationItem:
     """Global minimum of g(theta) = 1 + cos(theta) + cos(2*theta)/2."""
     thetas = np.arange(grid) * (_TWO_PI / grid)
     vals = 1.0 + np.cos(thetas) + 0.5 * np.cos(2.0 * thetas)
-    k = int(np.argmin(vals))
-    step = _TWO_PI / grid
-    gx, gv = golden_section_min(_g, k * step - step, k * step + step)
-    value, theta = min((float(vals[k]), k * step), (gv, gx))
+    value, theta = _circle_min(vals, _g)
     return make_item(
-        "min_g", value, expected=0.25, tolerance=1e-10, witness=(1.0, theta % _TWO_PI)
+        "min_g", value, expected=0.25, tolerance=1e-10, witness=(1.0, theta)
     )
 
 
@@ -180,15 +178,11 @@ def cube_min_by_boundary(r: float, grid: int = 2048) -> tuple[float, float]:
         raise DomainError(f"radius must lie in (0, 1), got {r}")
     thetas = np.arange(grid) * (_TWO_PI / grid)
     vals = ((1.0 - r * np.exp(1j * thetas)) ** -3).real
-    k = int(np.argmin(vals))
-    step = _TWO_PI / grid
 
     def fn(theta: float) -> float:
         return ((1.0 - r * complex(math.cos(theta), math.sin(theta))) ** -3).real
 
-    gx, gv = golden_section_min(fn, k * step - step, k * step + step)
-    value, theta = min((float(vals[k]), k * step), (gv, gx))
-    return value, theta % _TWO_PI
+    return _circle_min(vals, fn)
 
 
 def cube_min_by_cubic() -> float:

@@ -299,6 +299,22 @@ def test_scan_classical_small(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, grid, tol",
+    [
+        (["--target", "classical", "--sections", "5..6", "--tol", "1e-3", "--grid", "64"],
+         64, 1e-3),
+        (["--target", "classical", "--sections", "5..5"], 2048, 1e-9),
+        (["--target", "conjecture2", "--count", "1", "--sections", "2..3"], 512, 1e-7),
+    ],
+)
+def test_scan_solver_flags_reach_report(capsys, argv, grid, tol):
+    """--grid and --tol reach both scans; unset, each scan keeps its default."""
+    _code, payload = _run_json(capsys, ["scan", *argv])
+    assert payload["parameters"]["grid"] == grid
+    assert payload["parameters"]["tol"] == tol
+
+
 def test_scan_exit_three_on_counterexample(tmp_path, capsys, monkeypatch):
     fake = VerificationReport(
         (make_item("conjecture2_min_starlike_radius", 0.25),),
@@ -327,6 +343,12 @@ def test_scan_usage_errors():
     assert err.value.code == 2
     with pytest.raises(SystemExit) as err:
         main(["scan", "--target", "classical", "--sections", "9..3"])
+    assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["scan", "--target", "classical", "--grid", "8"])
+    assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["scan", "--target", "conjecture2", "--tol", "0"])
     assert err.value.code == 2
 
 

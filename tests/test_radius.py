@@ -1,5 +1,6 @@
 """Unit tests for boundary scans, zero counting, and radius bisection."""
 
+import cmath
 import math
 
 import numpy as np
@@ -16,6 +17,8 @@ from secradius.radius import (
     RADIUS_CAP,
     BoundaryScan,
     Criterion,
+    _field_parts,
+    _grid_field,
     boundary_min,
     count_zeros,
     criterion_radius,
@@ -172,6 +175,43 @@ def test_boundary_min_monotone_in_radius():
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
 
+def _grid_cases():
+    """(series, radius, grid): landmark and sampled sections, a few grids.
+
+    koebe(40) on grid 16 has more coefficients than grid points, so its
+    powers must be folded onto the grid before the FFT.
+    """
+    cases = [
+        (f0(2), 0.2, 64),
+        (f0(7), 0.45, 37),
+        (koebe(10), 0.3, 256),
+        (koebe(40), 0.6, 16),
+        (koebe(40), 0.5, 128),
+    ]
+    for spec in sample_specs(2, 3, rng_seed=5):
+        f = synthesize_F(spec, order=12)
+        cases.extend((section(f, n), 0.35, 64) for n in (3, 12))
+    return cases
+
+
+@pytest.mark.parametrize("criterion", list(Criterion))
+def test_grid_field_matches_point_values(criterion):
+    """The FFT grid path and the Horner point path give the same field."""
+    for s, r, grid in _grid_cases():
+        vals = _grid_field(_field_parts(s, criterion), r, grid)
+        expected = np.array(
+            [
+                criterion_value(s, criterion, cmath.rect(r, 2.0 * math.pi * k / grid))
+                for k in range(grid)
+            ]
+        )
+        scale = max(1.0, float(np.max(np.abs(expected))))
+        assert np.max(np.abs(vals - expected)) <= 1e-12 * scale
+        scan = boundary_min(s, criterion, r, grid)
+        at_witness = criterion_value(s, criterion, cmath.rect(r, scan.argmin_theta))
+        assert abs(at_witness - scan.min_value) <= 1e-12 * scale
+
+
 def test_boundary_min_domain_checks():
     with pytest.raises(DomainError):
         boundary_min(S2, Criterion.RE_DERIV, 0.0)
@@ -251,6 +291,50 @@ def test_count_zeros_against_root_finder():
         assert count_zeros(TruncatedSeries(c), r) == expected
         checked += 1
     assert checked == 200
+
+
+def _aliasing_bound(moduli: np.ndarray, r: float, m: int) -> float:
+    """Bound on |m-point winding mean - true count| for roots of these moduli.
+
+    A root a contributes z/(z - a), whose m-point mean on |z| = r misses its
+    exact value by at most q^m / (1 - q^m), q = min(|a|/r, r/|a|).
+    """
+    q = np.minimum(moduli / r, r / moduli) ** m
+    return float(np.sum(q / (1.0 - q)))
+
+
+def test_count_zeros_high_degree_koebe():
+    """Zeros of the Koebe sections s_n/z, n = 5..40, against the root finder.
+
+    By Gauss-Lucas the zeros lie inside the unit disc; the radii sit halfway
+    between consecutive distinct root moduli.  With start = 16 the first
+    quadrature level is shorter than the coefficient array.  It is compared
+    only where 16 points already bound the aliasing error below 1/4: below
+    that, two consecutive levels can agree on an aliased integer.
+    """
+    checked = short_start = 0
+    for n in range(5, 41):
+        g = TruncatedSeries(koebe(n).coeffs[1:])
+        mods = np.sort(np.abs(np.roots(g.coeffs[::-1])))
+        radii = [0.5 * mods[0]] + [
+            0.5 * (a + b) for a, b in zip(mods, mods[1:]) if b - a > 2e-6
+        ]
+        for r in radii:
+            if np.min(np.abs(mods - r)) < 1e-6:
+                continue
+            expected = int(np.sum(mods < r))
+            assert count_zeros(g, r) == expected
+            checked += 1
+            if _aliasing_bound(mods, r, 16) < 0.25:
+                assert count_zeros(g, r, start=16) == expected
+                short_start += 1
+    assert checked > 300 and short_start > 30
+    # 20 zeros on |z| = 0.3: the z^20 term must be folded onto the 16 points
+    # of the first level, not dropped
+    c = np.zeros(21)
+    c[0], c[20] = 1.0, 0.3**-20
+    assert _aliasing_bound(np.full(20, 0.3), 0.6, 16) < 0.25
+    assert count_zeros(TruncatedSeries(c), 0.6, start=16) == 20
 
 
 # ---------------------------------------------------------------------------
