@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("--out", help="report path (default: standard output)")
-    p.add_argument("--tol", type=float, default=1e-9, help="bisection tolerance")
+    p.add_argument("--tol", type=float, default=1e-9, help="radius tolerance")
     p.add_argument("--count", type=int, default=200, help="sampled spec count")
     p.add_argument("--atom-count", type=int, default=3, help="atoms per spec")
     p.add_argument("--n-max", type=int, default=20, help="largest section order")
@@ -282,12 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--criterion",
         required=True,
-        choices=["re-deriv", "convex", "starlike"],
+        choices=["re-deriv", "convex", "starlike", "local-univalence"],
         help="geometric property to measure",
     )
     p.add_argument("--spec-file", help="JSON spec file (for --function spec-file)")
     p.add_argument("--index", type=int, default=0, help="spec index in the file")
-    p.add_argument("--tol", type=float, default=1e-9, help="bisection tolerance")
+    p.add_argument("--tol", type=float, default=1e-9, help="radius tolerance")
     p.add_argument("--grid", type=int, default=2048, help="boundary grid size")
     p.set_defaults(func=_cmd_radius)
 
@@ -333,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--tol",
         type=float,
-        help="bisection tolerance (default: 1e-7 for conjecture2, 1e-9 for classical)",
+        help="radius tolerance (default: 1e-7 for conjecture2, 1e-9 for classical)",
     )
     p.add_argument("--out", help="report path (default: standard output)")
     p.set_defaults(func=_cmd_scan)

@@ -19,11 +19,18 @@ built from at most two polynomials, a numerator and a denominator, whose
 coefficients come from one table.  :func:`boundary_min` locates the circle
 minimum with a uniform grid scan, whose values come from one inverse FFT
 per polynomial, followed by golden-section refinement, which evaluates the
-polynomials pointwise by Horner's scheme.  :func:`criterion_radius` bisects
-on the radius; before accepting a probe for the quotient criteria it counts
-denominator zeros inside the disc with :func:`count_zeros` (an
-argument-principle quadrature on the same FFT evaluator), since a positive
-boundary minimum proves nothing once a pole has slipped inside the contour.
+polynomials pointwise by Horner's scheme.
+
+:func:`criterion_radius` solves for the radius where the boundary minimum
+changes sign, inside the bracket [0, rho): rho is the smallest root modulus
+of the denominator (the *guard*), where a pole of the field would enter the
+disc and a positive boundary minimum would stop proving anything.  On that
+bracket the minimum is non-increasing in r, so a safeguarded regula falsi
+needs the boundary scans alone.  One :func:`count_zeros` (an
+argument-principle quadrature on the same FFT evaluator, with guard zeros
+next to the circle divided out first) then certifies the guard disc at the
+result; only when it fails does the guard-bound path search with zero
+counts as its test.
 """
 
 from __future__ import annotations
@@ -61,6 +68,10 @@ __all__ = [
 RADIUS_CAP = 1.0 - 1e-6
 
 _POLE_TOL = 1e-300
+# Zeros of a guard polynomial within this relative distance outside a circle
+# are divided out before zero counting (see _zero_free): the quadrature
+# would need about 7 / distance points to settle on them.
+_NEAR_ROOT = 0.01
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _TWO_PI = 2.0 * math.pi
 
@@ -87,13 +98,14 @@ class BoundaryScan:
 
 @dataclass(frozen=True)
 class RadiusResult:
-    """Outcome of a bisection for the largest good disc.
+    """Outcome of a radius solve for the largest good disc.
 
     ``radius`` is the largest radius at which the criterion was verified to
     hold; the true radius exceeds it by at most ``tol``, except that a
-    criterion holding at every probe up to the cap reports radius 1.0 with
-    ``clamped`` set.  ``witness`` is a boundary scan at the certified radius
-    (None when even tiny discs fail).
+    criterion holding at the cap reports radius 1.0 with ``clamped`` set.
+    ``witness`` is the boundary scan of the probe that certified the radius
+    (None when even tiny discs fail).  ``iterations`` counts boundary-scan
+    probes plus guard zero counts.
     """
 
     radius: float
@@ -282,7 +294,7 @@ def count_zeros(
     start: int = 4096,
     limit: int = 1 << 20,
     boundary_tol: float = 1e-9,
-    residual_tol: float = 0.25,
+    residual_tol: float = 1e-3,
 ) -> int:
     """Number of zeros of ``s`` in |z| < r by argument-principle quadrature.
 
@@ -290,7 +302,10 @@ def count_zeros(
     reduces to the mean of z s'(z)/s(z) over uniformly spaced sample points.
     The sample count doubles from ``start`` (reusing earlier evaluations)
     until the mean lands within ``residual_tol`` of the same integer, with
-    negligible imaginary part, on two consecutive refinement levels.
+    imaginary part below ``residual_tol``, on two consecutive refinement
+    levels.  A short level can alias to a wrong integer; the tight default
+    makes two consecutive levels agree to within 2e-3 before a count is
+    trusted, which an aliased level does not do.
 
     Raises :class:`ZeroOnCircleError` when |s| dips below ``boundary_tol``
     at a sample point -- a zero too close to the contour for the quadrature
@@ -348,12 +363,24 @@ def criterion_radius(
     tol: float = 1e-9,
     grid_size: int = 2048,
 ) -> RadiusResult:
-    """Largest disc radius on which the criterion holds, by bisection.
+    """Largest disc radius on which the criterion holds, by a bracketed root-find.
 
-    A probe radius is accepted when the boundary minimum is strictly
-    positive and -- for the quotient criteria and local univalence -- the
-    relevant denominator polynomial has no zeros inside the probe disc.  Any
-    numeric failure (pole proximity, zero on circle, unsettled winding)
+    A radius passes when the boundary minimum m(r) is strictly positive and
+    the guard polynomial (the field's denominator, see :func:`_field_parts`)
+    has no zeros inside the disc.  Below the smallest root modulus ``rho`` of
+    the guard, found by one ``np.roots`` call, the field is harmonic on the
+    disc, so m is non-increasing and the value test alone is monotone.  So
+    :func:`_bracket_root` searches [0, min(rho, cap)] on m alone; the end
+    ``rho`` counts as failing without a probe, because the field at a guard
+    zero can look positive.  Local univalence, whose m stays positive up to
+    ``rho``, ends within ``tol`` of it.  One guard check
+    (:func:`_zero_free`, a :func:`count_zeros` certificate) then confirms the
+    disc at the result.  Only if it fails, because ``np.roots`` misplaced
+    ``rho``, does the guard bind: the same search runs on [0, r] with a
+    zero-free guard disc as its test, and then on the value below the
+    radius that search certifies.
+
+    Any numeric failure (pole proximity, zero on circle, unsettled winding)
     counts as a failed probe, so the result errs small.  A criterion
     surviving at the cap 1 - 1e-6 reports radius 1.0 with ``clamped`` set.
     """
@@ -363,60 +390,122 @@ def criterion_radius(
     if tol < 1e-12:
         raise ValidationError(f"tolerance must be at least 1e-12, got {tol}")
     den = _field_parts(s, criterion)[1]
-    guard = None if den is None else TruncatedSeries(den)
+    roots = np.roots(den[::-1]) if den is not None else np.empty(0)
+    rho = float(np.min(np.abs(roots))) if roots.size else math.inf
 
-    def value_ok(r: float) -> bool:
+    def value(r: float) -> tuple[float, BoundaryScan | None]:
         try:
-            return boundary_min(s, criterion, r, grid_size).min_value > 0.0
+            scan = boundary_min(s, criterion, r, grid_size)
         except PoleProximityError:
-            return False
+            return -math.inf, None
+        return scan.min_value, scan
 
     def guard_ok(r: float) -> bool:
         try:
-            return count_zeros(guard, r) == 0
+            return _zero_free(den, roots, r)
         except (ZeroOnCircleError, WindingError):
             return False
 
-    def combined(r: float) -> bool:
-        return value_ok(r) and (guard is None or guard_ok(r))
+    def below(hi: float) -> tuple[float, BoundaryScan | None, int]:
+        # value search on [0, hi] for an hi inside the guard's zero-free disc
+        f_hi, scan = value(hi)
+        if f_hi > 0.0:
+            return hi, scan, 1
+        r, scan, probes = _bracket_root(value, hi, f_hi, tol)
+        return r, scan, probes + 1
 
-    def bisect(pred: Callable[[float], bool]) -> tuple[float, int, bool]:
-        iterations = 1
-        if pred(RADIUS_CAP):
-            return RADIUS_CAP, iterations, True
-        lo, hi = 0.0, RADIUS_CAP
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            iterations += 1
-            if pred(mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo, iterations, False
-
-    # The combined predicate (positive boundary minimum + zero-free guard
-    # disc) is downward closed: if it holds at r it holds at every smaller
-    # radius, because shrinking the disc keeps it zero-free and harmonicity
-    # then forces the minimum to grow.  So bisect on the cheap value test
-    # alone and validate the resulting radius with a single zero count;
-    # only if that count fails (the guard, not the value, is what binds)
-    # rerun the bisection with the count folded into every probe.
-    r, iterations, clamped = bisect(value_ok)
-    if guard is not None and r > 0.0:
+    if rho > RADIUS_CAP:
+        r, witness, iterations = below(RADIUS_CAP)
+    else:
+        r, witness, iterations = _bracket_root(value, rho, -math.inf, tol)
+    if den is not None and r > 0.0:
         iterations += 1
         if not guard_ok(r):
-            r, extra, clamped = bisect(combined)
+            # a zero count has no value to interpolate: each failure is -inf,
+            # so every step of this search bisects
+            r, _, extra = _bracket_root(
+                lambda x: (1.0 if guard_ok(x) else -math.inf, None), r, -math.inf, tol
+            )
             iterations += extra
-    radius = 1.0 if clamped else r
-    scan_at = RADIUS_CAP if clamped else r
-    witness = _witness(s, criterion, scan_at, grid_size) if scan_at > 0.0 else None
-    return RadiusResult(radius, witness, iterations, tol, clamped=clamped)
+            witness = None
+            if r > 0.0:
+                r, witness, extra = below(r)
+                iterations += extra
+    clamped = r == RADIUS_CAP
+    return RadiusResult(1.0 if clamped else r, witness, iterations, tol, clamped=clamped)
 
 
-def _witness(
-    s: TruncatedSeries, criterion: Criterion, r: float, grid_size: int
-) -> BoundaryScan | None:
-    try:
-        return boundary_min(s, criterion, r, grid_size)
-    except (PoleProximityError, ZeroOnCircleError, WindingError):
-        return None
+def _zero_free(p: np.ndarray, roots: np.ndarray, r: float) -> bool:
+    """Whether the polynomial with coefficients ``p`` has no zeros in |z| < r.
+
+    :func:`count_zeros` is the certificate, but a zero near the circle keeps
+    its quadrature from settling.  So the ``roots`` of p (from ``np.roots``)
+    within ``_NEAR_ROOT`` outside the circle are divided out first:
+    p = P q + rem with P = prod(z - a).  By Rouche's theorem p has as many
+    zeros in the disc as P q when |rem| < |P q| on the circle.  |rem| is at
+    most the sum of its coefficient moduli times r^k; |P q| is taken at 4096
+    angles plus the angles of the divided-out zeros, where its dips lie.
+    The zeros of q, all away from the circle, are then counted.
+    """
+    near = roots[np.abs(roots) < (1.0 + _NEAR_ROOT) * r]
+    if near.size == 0:
+        return count_zeros(TruncatedSeries(p), r) == 0
+    if np.min(np.abs(near)) <= r:
+        return False
+    monic = np.poly(near)
+    q = np.polydiv(p[::-1], monic)[0]
+    rem = np.polysub(p[::-1], np.polymul(monic, q))
+    theta = np.concatenate([np.angle(near), np.arange(4096) * (_TWO_PI / 4096)])
+    z = r * np.exp(1j * theta)
+    low = np.min(np.abs(np.prod(z[:, None] - near, axis=1) * np.polyval(q, z)))
+    if np.sum(np.abs(rem) * r ** np.arange(rem.size)[::-1]) >= low:
+        return False
+    return count_zeros(TruncatedSeries(q[::-1]), r) == 0
+
+
+def _bracket_root(
+    probe: Callable[[float], tuple[float, object]], hi: float, f_hi: float, tol: float
+) -> tuple[float, object, int]:
+    """Largest passing radius in [0, hi] to within ``tol``.
+
+    ``probe(r)`` returns (f, data) and r passes when f > 0.  The bracket
+    starts from lo = 0, which passes with f = 1 (c_1 of a normalized series),
+    and ``hi``, which fails with value ``f_hi`` (-inf when it has none).
+    Steps are Anderson-Bjorck regula falsi: the secant root of the bracket's
+    values, where an end kept twice in a row has its value scaled down so
+    that both ends close in.  A step bisects instead while the failing end
+    has no finite value, on the first probe (m falls steeply near a guard
+    zero, so the secant through f(0) = 1 lands near 0), and whenever a
+    secant step that fails to shrink the bracket would leave too few probes
+    to finish by bisection; so a solve never takes more than
+    ceil(log2(hi / tol)) + 4 probes.  Stops when hi - lo <= tol and returns
+    (lo, the data of the probe at lo or None when lo = 0, probes made).
+    """
+    lo, f_lo, data = 0.0, 1.0, None
+    budget = max(0, math.ceil(math.log2(hi / tol))) + 4
+    probes = 0
+    passed_last: bool | None = None
+    while hi - lo > tol:
+        x = 0.5 * (lo + hi)
+        secant_ok = hi - lo <= tol * 2.0 ** (budget - probes - 1)
+        if probes and math.isfinite(f_hi) and secant_ok:
+            x = (f_hi * lo - f_lo * hi) / (f_hi - f_lo)
+            x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
+        f, info = probe(x)
+        probes += 1
+        if f > 0.0:
+            if passed_last:
+                f_hi *= _ab_factor(f, f_lo)
+            lo, f_lo, data = x, f, info
+        else:
+            if passed_last is False and math.isfinite(f) and math.isfinite(f_hi):
+                f_lo *= _ab_factor(f, f_hi)
+            hi, f_hi = x, f
+        passed_last = f > 0.0
+    return lo, data, probes
+
+
+def _ab_factor(f_new: float, f_old: float) -> float:
+    """Anderson-Bjorck scale for the value of the end kept twice in a row."""
+    m = 1.0 - f_new / f_old if f_old else 0.0
+    return m if m > 0.0 else 0.5

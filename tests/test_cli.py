@@ -378,3 +378,16 @@ def test_radius_known_f0_sections_agree_with_direct_library_use(capsys):
         direct = criterion_radius(f0(n), Criterion(criterion), 1e-9, 2048)
         assert payload["radius"] == direct.radius
         assert payload["witness_theta"] == direct.witness.argmin_theta
+
+
+def test_radius_local_univalence(capsys):
+    """s_2' = 1 + 3z vanishes at -1/3, so f0's section 2 is locally
+    univalent exactly on |z| < 1/3."""
+    code, payload = _run_json(
+        capsys,
+        ["radius", "--function", "f0", "--section", "2",
+         "--criterion", "local-univalence"],
+    )
+    assert code == 0
+    assert 1.0 / 3.0 - 5e-6 <= payload["radius"] <= 1.0 / 3.0
+    assert payload["clamped"] is False

@@ -1,4 +1,4 @@
-"""Unit tests for boundary scans, zero counting, and radius bisection."""
+"""Unit tests for boundary scans, zero counting, and radius solves."""
 
 import cmath
 import math
@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import secradius.radius as radius_module
 from secradius.exceptions import (
     DomainError,
     PoleProximityError,
@@ -308,11 +309,11 @@ def test_count_zeros_high_degree_koebe():
 
     By Gauss-Lucas the zeros lie inside the unit disc; the radii sit halfway
     between consecutive distinct root moduli.  With start = 16 the first
-    quadrature level is shorter than the coefficient array.  It is compared
-    only where 16 points already bound the aliasing error below 1/4: below
-    that, two consecutive levels can agree on an aliased integer.
+    quadrature level is shorter than the coefficient array, so its mean is
+    aliased; the stopping rule must still refuse to settle until two levels
+    agree on the true count.
     """
-    checked = short_start = 0
+    checked = 0
     for n in range(5, 41):
         g = TruncatedSeries(koebe(n).coeffs[1:])
         mods = np.sort(np.abs(np.roots(g.coeffs[::-1])))
@@ -324,11 +325,9 @@ def test_count_zeros_high_degree_koebe():
                 continue
             expected = int(np.sum(mods < r))
             assert count_zeros(g, r) == expected
+            assert count_zeros(g, r, start=16) == expected
             checked += 1
-            if _aliasing_bound(mods, r, 16) < 0.25:
-                assert count_zeros(g, r, start=16) == expected
-                short_start += 1
-    assert checked > 300 and short_start > 30
+    assert checked > 300
     # 20 zeros on |z| = 0.3: the z^20 term must be folded onto the 16 points
     # of the first level, not dropped
     c = np.zeros(21)
@@ -338,7 +337,7 @@ def test_count_zeros_high_degree_koebe():
 
 
 # ---------------------------------------------------------------------------
-# Radius bisection
+# Radius solves
 # ---------------------------------------------------------------------------
 
 
@@ -347,14 +346,15 @@ def test_radius_s2_re_deriv():
     assert abs(res.radius - 1.0 / 3.0) <= 1e-6
     assert not res.clamped
     assert res.tol == 1e-9
-    assert res.iterations > 10
+    # bisection over [0, cap] took ceil(log2(cap / tol)) + 1 probes
+    assert 1 <= res.iterations <= math.ceil(math.log2(RADIUS_CAP / res.tol)) + 3
     assert res.witness is not None and res.witness.r == res.radius
     assert res.witness.min_value > 0.0
 
 
 def test_radius_s2_convexity():
-    """1/6 forces the zero-count fallback: the value field turns positive
-    again beyond the guard zero, so the plain value bisection overshoots."""
+    """1/6 is where the value field first fails.  It turns positive again
+    beyond the guard zero at 1/3, which bounds the search bracket."""
     res = criterion_radius(S2, Criterion.CONVEXITY)
     assert abs(res.radius - 1.0 / 6.0) <= 1e-6
     assert not res.clamped
@@ -364,10 +364,11 @@ def test_radius_s2_starlike_and_univalence():
     star = criterion_radius(S2, Criterion.STARLIKENESS)
     loc = criterion_radius(S2, Criterion.LOCAL_UNIVALENCE)
     assert abs(star.radius - 1.0 / 3.0) <= 1e-6
-    # |s'| stays positive on circles on *both* sides of 1/3, so here the
-    # zero-count guard alone pins the radius; its quadrature refuses to
-    # certify circles within ~1.3e-6 of the zero, and the result errs small.
-    assert 1.0 / 3.0 - 5e-6 <= loc.radius <= 1.0 / 3.0 + 1e-9
+    # |s'| stays positive on circles on *both* sides of 1/3, so the zero of
+    # s' at -1/3, the end of the search bracket, pins the radius.  The guard
+    # check divides that zero out before counting, so the result is within
+    # tol of it, not held off by the quadrature's reach.
+    assert 1.0 / 3.0 - loc.tol <= loc.radius < 1.0 / 3.0
 
 
 def test_radius_s3_re_deriv_closed_form():
@@ -384,6 +385,76 @@ def test_radius_identity_clamps():
     assert res.radius == 1.0
     assert res.clamped
     assert res.witness is not None and res.witness.r == RADIUS_CAP
+
+
+def _sampled_sections():
+    sections = []
+    for spec in sample_specs(3, 3, rng_seed=23):
+        f = synthesize_F(spec, order=12)
+        sections.extend(section(f, n) for n in range(2, 13))
+    return sections
+
+
+def test_radius_errs_small_on_sampled_sections():
+    """The certificate behind every reported radius, on 33 sampled sections.
+
+    The field is positive on the circle at the radius, and at most tol
+    above it either fails or lies on the guard's first zero; the guard disc
+    at the radius is zero-free.  The implications between criteria hold to
+    within tol: convex <= starlike and Re-derivative <= local univalence.
+    """
+    tol = 1e-9
+    for s in _sampled_sections():
+        radii = {}
+        for criterion in list(Criterion):
+            res = criterion_radius(s, criterion, tol)
+            radii[criterion] = res.radius
+            if criterion is Criterion.LOCAL_UNIVALENCE:
+                continue
+            assert 0.0 < res.radius < 1.0 and not res.clamped
+            assert boundary_min(s, criterion, res.radius).min_value > 0.0
+            den = _field_parts(s, criterion)[1]
+            rho = math.inf if den is None else float(np.min(np.abs(np.roots(den[::-1]))))
+            above = res.radius + tol
+            assert above >= rho or boundary_min(s, criterion, above).min_value <= 0.0
+            if den is not None:
+                assert count_zeros(TruncatedSeries(den), res.radius) == 0
+        assert radii[Criterion.CONVEXITY] <= radii[Criterion.STARLIKENESS] + tol
+        assert radii[Criterion.RE_DERIV] <= radii[Criterion.LOCAL_UNIVALENCE] + tol
+
+
+@pytest.fixture
+def count_zeros_radii(monkeypatch):
+    """Radii of every count_zeros call that criterion_radius makes."""
+    radii = []
+    original = radius_module.count_zeros
+
+    def counting(s, r, *args, **kwargs):
+        radii.append(r)
+        return original(s, r, *args, **kwargs)
+
+    monkeypatch.setattr(radius_module, "count_zeros", counting)
+    return radii
+
+
+def test_starlike_solve_counts_zeros_at_most_once(count_zeros_radii):
+    """The bracket keeps zero counting out of the search: one guard check."""
+    for s in [f0(n) for n in range(2, 31)] + [koebe(n) for n in range(5, 41)]:
+        count_zeros_radii.clear()
+        criterion_radius(s, Criterion.STARLIKENESS)
+        assert len(count_zeros_radii) <= 1
+
+
+def test_radius_guard_bound_path_survives_misplaced_rho(monkeypatch, count_zeros_radii):
+    """A root finder that puts the zero of s' at -0.9 instead of -1/3 widens
+    the bracket past the guard zero.  The guard check at the result then
+    fails, and the guard-bound search still finds the convexity radius 1/6."""
+    monkeypatch.setattr(np, "roots", lambda c: np.array([-0.9 + 0j]))
+    res = criterion_radius(S2, Criterion.CONVEXITY)
+    assert len(count_zeros_radii) > 1
+    assert 1.0 / 6.0 - res.tol <= res.radius <= 1.0 / 6.0
+    assert res.witness is not None and res.witness.r == res.radius
+    assert res.witness.min_value > 0.0
 
 
 def test_radius_result_err_is_small_side():
