@@ -18,8 +18,10 @@ minimum over a closed disc sits on the bounding circle.  Every field is
 built from at most two polynomials, a numerator and a denominator, whose
 coefficients come from one table.  :func:`boundary_min` locates the circle
 minimum with a uniform grid scan, whose values come from one inverse FFT
-per polynomial, followed by golden-section refinement, which evaluates the
-polynomials pointwise by Horner's scheme.
+per polynomial, followed by safeguarded Newton steps on the field's
+theta-derivative; one Horner pass per polynomial gives its value and first
+two derivatives at a point, and the field's theta-derivatives follow from
+them in closed form.
 
 :func:`criterion_radius` solves for the radius where the boundary minimum
 changes sign, inside the bracket [0, rho): rho is the smallest root modulus
@@ -122,6 +124,8 @@ def golden_section_min(
 
     Tracks the best probe seen, so the returned value never exceeds any
     evaluation made during the search.  Exact value ties go to the smaller x.
+    Needing no derivatives, it refines ``verify.min_T``, the independent
+    cross-check of the Newton-refined scans.
     """
     if b < a:
         a, b = b, a
@@ -153,7 +157,7 @@ def criterion_value(s: TruncatedSeries, criterion: Criterion, z: complex) -> flo
     :class:`PoleProximityError` when the denominator modulus falls below the
     representable floor.
     """
-    return _point_field(_field_parts(s, Criterion(criterion)))(complex(z))
+    return _point_jet(_field_parts(s, Criterion(criterion)))(complex(z))[0]
 
 
 def _field_parts(
@@ -162,7 +166,7 @@ def _field_parts(
     """Coefficients (num, den) of the polynomials that make up the field.
 
     The field is Re num when ``den`` is None, |den| when ``num`` is None and
-    Re(num/den) otherwise; :func:`_point_field` and :func:`_grid_field`
+    Re(num/den) otherwise; :func:`_point_jet` and :func:`_grid_field`
     evaluate it.  ``den`` is also the guard polynomial whose zeros inside
     the disc void the boundary argument.  For starlikeness num(0)/den(0) =
     c_1/c_1, so z = 0 needs no special case.
@@ -181,31 +185,64 @@ def _field_parts(
     return ds, c[1:]
 
 
-def _horner(rev: list[complex], z: complex) -> complex:
-    v = 0j
+def _horner_jet(rev: list, z: complex) -> tuple[complex, complex, complex]:
+    """p(z), p'(z) and p''(z) in one Horner pass over the reversed coefficients."""
+    p = d1 = d2 = 0j
     for c in rev:
-        v = v * z + c
-    return v
+        d2 = d2 * z + d1
+        d1 = d1 * z + p
+        p = p * z + c
+    return p, d1, 2.0 * d2
 
 
-def _point_field(parts: tuple) -> Callable[[complex], float]:
-    """Closure evaluating the field of :func:`_field_parts` output at a point.
+def _re_theta_jet(
+    z: complex, h: complex, h1: complex, h2: complex
+) -> tuple[float, float, float]:
+    """Re h and its first two theta-derivatives at z = r e^{i theta}.
 
-    Plain-Python Horner on pre-reversed coefficient lists: for the short
-    polynomials handled here this beats assembling numpy arrays point by
-    point inside the refinement loop.
+    ``h1`` and ``h2`` are h'(z) and h''(z); along the circle
+    d/dtheta h = i z h' and d^2/dtheta^2 h = -z h' - z^2 h''.
+    """
+    zh1 = z * h1
+    return h.real, -zh1.imag, -(zh1 + z * z * h2).real
+
+
+def _point_jet(parts: tuple) -> Callable[[complex], tuple[float, float, float]]:
+    """Closure giving (phi, phi', phi'') at a point for :func:`_field_parts` output.
+
+    phi is the field and the primes are theta-derivatives along the circle
+    through the point.  Plain-Python Horner on pre-reversed coefficient
+    lists: for the short polynomials handled here this beats assembling
+    numpy arrays point by point inside the refinement loop.
     """
     rev_num, rev_den = (None if p is None else p[::-1].tolist() for p in parts)
     if rev_den is None:
-        return lambda z: _horner(rev_num, z).real
+        return lambda z: _re_theta_jet(z, *_horner_jet(rev_num, z))
     if rev_num is None:
-        return lambda z: abs(_horner(rev_den, z))
 
-    def quotient(z: complex) -> float:
-        den = _horner(rev_den, z)
-        if abs(den) < _POLE_TOL:
+        def modulus(z: complex) -> tuple[float, float, float]:
+            d, d1, d2 = _horner_jet(rev_den, z)
+            a = abs(d)
+            if a == 0.0:
+                # |den| has a kink at its zero: no derivative there
+                return 0.0, math.nan, math.nan
+            # theta-derivatives of log|den| = Re log den, whose z-derivatives
+            # are g = den'/den and den''/den - g^2; then |den| = exp(log|den|)
+            g = d1 / d
+            _, l1, l2 = _re_theta_jet(z, 0j, g, d2 / d - g * g)
+            return a, a * l1, a * (l2 + l1 * l1)
+
+        return modulus
+
+    def quotient(z: complex) -> tuple[float, float, float]:
+        d, d1, d2 = _horner_jet(rev_den, z)
+        if abs(d) < _POLE_TOL:
             raise PoleProximityError(z, "field denominator vanishes at the point")
-        return (_horner(rev_num, z) / den).real
+        n, n1, n2 = _horner_jet(rev_num, z)
+        q = n / d
+        q1 = (n1 - q * d1) / d
+        q2 = (n2 - 2.0 * q1 * d1 - q * d2) / d
+        return _re_theta_jet(z, q, q1, q2)
 
     return quotient
 
@@ -238,21 +275,43 @@ def _grid_field(parts: tuple, r: float, grid: int) -> np.ndarray:
 
 
 def _circle_min(
-    vals: np.ndarray, fn: Callable[[float], float], theta_tol: float = 1e-12
+    vals: np.ndarray,
+    jet: Callable[[float], tuple[float, float, float]],
+    theta_tol: float = 1e-12,
 ) -> tuple[float, float]:
-    """Minimum over the circle of ``fn``, sampled as ``vals`` at 2 pi k / len(vals).
+    """Minimum over the circle of a function sampled as ``vals`` at 2 pi k / len(vals).
 
-    Golden-section search refines the grid argmin (the smallest theta on
-    exact ties) over its two adjacent cells down to ``theta_tol``.  Returns
-    the lexicographic minimum of (value, theta) over everything evaluated,
-    with theta wrapped into [0, 2*pi).
+    ``jet(theta)`` returns the function and its first two derivatives.
+    Starting at the grid argmin (the smallest theta on exact ties), each
+    evaluation moves one end of the bracket formed by the two adjacent cells
+    to the evaluated point, by the sign of the derivative.  The next point
+    is the Newton step when the second derivative is positive and finite and
+    the step stays inside the bracket, else the bracket's midpoint.  The
+    search stops at a step of at most ``theta_tol``, tested before the
+    bracket: at a minimum on a grid point the Newton step can round onto
+    the bracket's end.  Returns the lexicographic minimum of (value, theta)
+    over everything evaluated, the grid point included, with theta wrapped
+    into [0, 2*pi).
     """
     step = _TWO_PI / vals.size
     k = int(np.argmin(vals))
-    theta_k = k * step
-    gx, gv = golden_section_min(fn, theta_k - step, theta_k + step, theta_tol)
-    value, theta = min((float(vals[k]), theta_k), (gv, gx))
-    return value, theta % _TWO_PI
+    theta = k * step
+    lo, hi = theta - step, theta + step
+    best = (float(vals[k]), theta)
+    while True:
+        value, d1, d2 = jet(theta)
+        best = min(best, (value, theta))
+        if d1 > 0.0:
+            hi = theta
+        else:
+            lo = theta
+        dt = -d1 / d2 if 0.0 < d2 < math.inf else math.nan
+        if not (abs(dt) <= theta_tol or lo < theta + dt < hi):
+            dt = 0.5 * (lo + hi) - theta
+        if abs(dt) <= theta_tol:
+            break
+        theta += dt
+    return best[0], best[1] % _TWO_PI
 
 
 def boundary_min(
@@ -265,10 +324,11 @@ def boundary_min(
     """Minimum of the criterion field over the circle |z| = r.
 
     A uniform scan of ``grid_size`` angles picks the coarse minimizer (the
-    smallest theta on exact ties); golden-section search then refines over
-    the two adjacent grid cells down to ``theta_tol``.  The reported pair is
-    the lexicographic minimum of (value, theta) over everything evaluated,
-    with theta wrapped into [0, 2*pi).
+    smallest theta on exact ties); safeguarded Newton steps on the field's
+    analytic theta-derivative then refine it inside the two adjacent grid
+    cells until a step is at most ``theta_tol`` (see :func:`_circle_min`).
+    The reported pair is the lexicographic minimum of (value, theta) over
+    everything evaluated, with theta wrapped into [0, 2*pi).
     """
     criterion = Criterion(criterion)
     if not 0.0 < r < 1.0:
@@ -277,8 +337,8 @@ def boundary_min(
         raise ValidationError(f"grid must have at least 16 points, got {grid_size}")
     parts = _field_parts(s, criterion)
     vals = _grid_field(parts, r, grid_size)
-    field = _point_field(parts)
-    value, theta = _circle_min(vals, lambda t: field(r * cmath.exp(1j * t)), theta_tol)
+    jet = _point_jet(parts)
+    value, theta = _circle_min(vals, lambda t: jet(cmath.rect(r, t)), theta_tol)
     return BoundaryScan(
         r=r,
         grid_size=grid_size,

@@ -20,6 +20,7 @@ from secradius.radius import (
     Criterion,
     _field_parts,
     _grid_field,
+    _point_jet,
     boundary_min,
     count_zeros,
     criterion_radius,
@@ -27,6 +28,7 @@ from secradius.radius import (
     golden_section_min,
 )
 from secradius.series import TruncatedSeries, identity, section
+from secradius.verify import _cube_jet, _g_jet
 from secradius.zoo import f0, koebe, rotation, sample_specs, synthesize_F
 
 S2 = f0(2)  # z + 3/2 z^2, derivative 1 + 3z
@@ -87,6 +89,8 @@ def test_starlikeness_value_at_origin_is_limit():
 def test_local_univalence_is_modulus():
     v = criterion_value(S2, Criterion.LOCAL_UNIVALENCE, 0.2j)
     assert abs(v - abs(1.0 + 0.6j)) < 1e-14
+    # s' = 1 + 3z is exactly 0 there in floating point
+    assert criterion_value(S2, Criterion.LOCAL_UNIVALENCE, -1.0 / 3.0) == 0.0
 
 
 def test_criterion_accepts_plain_strings():
@@ -211,6 +215,112 @@ def test_grid_field_matches_point_values(criterion):
         scan = boundary_min(s, criterion, r, grid)
         at_witness = criterion_value(s, criterion, cmath.rect(r, scan.argmin_theta))
         assert abs(at_witness - scan.min_value) <= 1e-12 * scale
+
+
+def _difference_errors(fn, thetas, h=1e-4):
+    """Jets of ``fn`` at ``thetas`` and the worst errors of their derivatives.
+
+    The derivatives are compared with central differences of step h, and
+    each error is relative to that derivative's largest modulus over
+    ``thetas`` (at least 1).  The differences err by about h^2/6 times the
+    third derivative and h^2/12 times the fourth from truncation, and by
+    about eps |phi| / h^2 from rounding.  With h = 1e-4 that stayed below
+    3e-7 of the scale on every field tested here, so a bound of 1e-5 leaves
+    a 30-fold margin; a wrong chain-rule term errs by order 1.
+    """
+    jets = np.array([fn(t) for t in thetas])
+    plus = np.array([fn(t + h)[0] for t in thetas])
+    minus = np.array([fn(t - h)[0] for t in thetas])
+    d1 = (plus - minus) / (2.0 * h)
+    d2 = (plus - 2.0 * jets[:, 0] + minus) / h**2
+    errors = [
+        np.max(np.abs(d - jets[:, i])) / max(1.0, np.max(np.abs(jets[:, i])))
+        for i, d in ((1, d1), (2, d2))
+    ]
+    return jets, max(errors)
+
+
+@pytest.mark.parametrize("criterion", list(Criterion))
+def test_point_jet_derivatives_match_differences(criterion):
+    """The point jet's phi', phi'' are the theta-derivatives of phi, and its
+    phi is the grid field at the grid angles."""
+    for s, r, grid in _grid_cases():
+        parts = _field_parts(s, criterion)
+        jet = _point_jet(parts)
+        thetas = 2.0 * math.pi * np.arange(grid) / grid
+        jets, error = _difference_errors(lambda t: jet(cmath.rect(r, t)), thetas)
+        assert error <= 1e-5
+        vals = _grid_field(parts, r, grid)
+        scale = max(1.0, float(np.max(np.abs(vals))))
+        assert np.max(np.abs(jets[:, 0] - vals)) <= 1e-12 * scale
+
+
+def test_verify_jets_match_differences():
+    """The jets behind min_g and cube_min_by_boundary, checked the same way."""
+    grid = 256
+    thetas = 2.0 * math.pi * np.arange(grid) / grid
+    jets, error = _difference_errors(_g_jet, thetas)
+    assert error <= 1e-5
+    g = 1.0 + np.cos(thetas) + 0.5 * np.cos(2.0 * thetas)
+    assert np.max(np.abs(jets[:, 0] - g)) <= 1e-14
+    for r in (0.1, 1.0 / 3.0, 0.6):
+        jets, error = _difference_errors(lambda t: _cube_jet(r, t), thetas)
+        assert error <= 1e-5
+        kernel = ((1.0 - r * np.exp(1j * thetas)) ** -3).real
+        assert np.max(np.abs(jets[:, 0] - kernel)) <= 1e-12 * np.max(np.abs(kernel))
+
+
+def _golden_sections():
+    """Sections n = 2..30 of two sampled members, and koebe(5..40)."""
+    sections = []
+    for spec in sample_specs(2, 3, rng_seed=5):
+        f = synthesize_F(spec, order=30)
+        sections.extend(section(f, n) for n in range(2, 31))
+    sections.extend(koebe(n) for n in range(5, 41))
+    return sections
+
+
+def test_boundary_min_no_worse_than_golden_refinement():
+    """Newton refinement ends at least as low as golden-section search over
+    the same two grid cells, up to rounding."""
+    for s in _golden_sections():
+        for criterion in Criterion:
+            parts = _field_parts(s, criterion)
+            for r in (0.1, 0.3, 1.0 / 3.0 - 1e-6, 0.45):
+                for grid in (64, 512, 2048):
+                    vals = _grid_field(parts, r, grid)
+                    k = int(np.argmin(vals))
+                    step = 2.0 * math.pi / grid
+                    _x, golden = golden_section_min(
+                        lambda t: criterion_value(s, criterion, cmath.rect(r, t)),
+                        k * step - step,
+                        k * step + step,
+                    )
+                    golden = min(golden, float(vals[k]))
+                    value = boundary_min(s, criterion, r, grid).min_value
+                    assert value <= golden + 1e-10 * max(1.0, abs(golden))
+
+
+def test_newton_refinement_takes_few_evaluations(monkeypatch):
+    """Starlike scans of f0(2..30) at r = 0.3 average at most 6 jet evaluations."""
+    evaluations = []
+    build = radius_module._point_jet
+
+    def counted_build(parts):
+        jet = build(parts)
+        evaluations.append(0)
+
+        def counted(z):
+            evaluations[-1] += 1
+            return jet(z)
+
+        return counted
+
+    monkeypatch.setattr(radius_module, "_point_jet", counted_build)
+    for n in range(2, 31):
+        boundary_min(f0(n), Criterion.STARLIKENESS, 0.3, 512)
+    assert len(evaluations) == 29
+    assert sum(evaluations) <= 6 * len(evaluations)
 
 
 def test_boundary_min_domain_checks():
