@@ -24,15 +24,15 @@ two derivatives at a point, and the field's theta-derivatives follow from
 them in closed form.
 
 :func:`criterion_radius` solves for the radius where the boundary minimum
-changes sign, inside the bracket [0, rho): rho is the smallest root modulus
-of the denominator (the *guard*), where a pole of the field would enter the
-disc and a positive boundary minimum would stop proving anything.  On that
-bracket the minimum is non-increasing in r, so a safeguarded regula falsi
-needs the boundary scans alone.  One :func:`count_zeros` (an
-argument-principle quadrature on the same FFT evaluator, with guard zeros
-next to the circle divided out first) then certifies the guard disc at the
-result; only when it fails does the guard-bound path search with zero
-counts as its test.
+changes sign, inside the bracket [0, rho): rho is a certified lower bound on
+the root moduli of the denominator (the *guard*), below which no pole of the
+field enters the disc and a positive boundary minimum proves the criterion.
+It comes from Gerschgorin discs around the ``np.roots`` approximations to
+the guard's zeros, so it holds however far those approximations are off.
+On that bracket the minimum is non-increasing in r, so a safeguarded regula
+falsi on the boundary scans alone finds the radius; no zero count is
+needed.  :func:`count_zeros`, an argument-principle quadrature on the same
+FFT evaluator, stays as an independent check.
 """
 
 from __future__ import annotations
@@ -70,10 +70,7 @@ __all__ = [
 RADIUS_CAP = 1.0 - 1e-6
 
 _POLE_TOL = 1e-300
-# Zeros of a guard polynomial within this relative distance outside a circle
-# are divided out before zero counting (see _zero_free): the quadrature
-# would need about 7 / distance points to settle on them.
-_NEAR_ROOT = 0.01
+_UNIT_ROUNDOFF = 2.0**-53
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _TWO_PI = 2.0 * math.pi
 
@@ -106,8 +103,8 @@ class RadiusResult:
     hold; the true radius exceeds it by at most ``tol``, except that a
     criterion holding at the cap reports radius 1.0 with ``clamped`` set.
     ``witness`` is the boundary scan of the probe that certified the radius
-    (None when even tiny discs fail).  ``iterations`` counts boundary-scan
-    probes plus guard zero counts.
+    (None when even tiny discs fail or nothing bounds the guard's zeros
+    away from 0).  ``iterations`` counts boundary-scan probes.
     """
 
     radius: float
@@ -427,22 +424,19 @@ def criterion_radius(
 
     A radius passes when the boundary minimum m(r) is strictly positive and
     the guard polynomial (the field's denominator, see :func:`_field_parts`)
-    has no zeros inside the disc.  Below the smallest root modulus ``rho`` of
-    the guard, found by one ``np.roots`` call, the field is harmonic on the
-    disc, so m is non-increasing and the value test alone is monotone.  So
-    :func:`_bracket_root` searches [0, min(rho, cap)] on m alone; the end
-    ``rho`` counts as failing without a probe, because the field at a guard
-    zero can look positive.  Local univalence, whose m stays positive up to
-    ``rho``, ends within ``tol`` of it.  One guard check
-    (:func:`_zero_free`, a :func:`count_zeros` certificate) then confirms the
-    disc at the result.  Only if it fails, because ``np.roots`` misplaced
-    ``rho``, does the guard bind: the same search runs on [0, r] with a
-    zero-free guard disc as its test, and then on the value below the
-    radius that search certifies.
+    has no zeros inside the disc.  :func:`_guard_bound` gives a certified
+    lower bound ``rho`` on the guard's root moduli, so on [0, rho) the guard
+    is zero-free by construction, the field is harmonic on the disc and m is
+    non-increasing.  So :func:`_bracket_root` searches [0, min(rho, cap)] on
+    m alone; the end ``rho`` counts as failing without a probe, because the
+    field at a guard zero can look positive, and a cap below ``rho`` is
+    probed first.  Local univalence, whose m stays positive up to the
+    guard's first zero, ends within ``tol`` of ``rho``.  When the bound is 0
+    (coincident root approximations) the radius is 0.0 with no witness.
 
-    Any numeric failure (pole proximity, zero on circle, unsettled winding)
-    counts as a failed probe, so the result errs small.  A criterion
-    surviving at the cap 1 - 1e-6 reports radius 1.0 with ``clamped`` set.
+    Any numeric failure (pole proximity) counts as a failed probe, so the
+    result errs small.  A criterion surviving at the cap 1 - 1e-6 reports
+    radius 1.0 with ``clamped`` set.
     """
     criterion = Criterion(criterion)
     if not is_normalized(s, tol=1e-9):
@@ -450,8 +444,9 @@ def criterion_radius(
     if tol < 1e-12:
         raise ValidationError(f"tolerance must be at least 1e-12, got {tol}")
     den = _field_parts(s, criterion)[1]
-    roots = np.roots(den[::-1]) if den is not None else np.empty(0)
-    rho = float(np.min(np.abs(roots))) if roots.size else math.inf
+    rho = math.inf if den is None else _guard_bound(den)
+    if rho == 0.0:
+        return RadiusResult(0.0, None, 0, tol, clamped=False)
 
     def value(r: float) -> tuple[float, BoundaryScan | None]:
         try:
@@ -460,67 +455,62 @@ def criterion_radius(
             return -math.inf, None
         return scan.min_value, scan
 
-    def guard_ok(r: float) -> bool:
-        try:
-            return _zero_free(den, roots, r)
-        except (ZeroOnCircleError, WindingError):
-            return False
-
-    def below(hi: float) -> tuple[float, BoundaryScan | None, int]:
-        # value search on [0, hi] for an hi inside the guard's zero-free disc
-        f_hi, scan = value(hi)
-        if f_hi > 0.0:
-            return hi, scan, 1
-        r, scan, probes = _bracket_root(value, hi, f_hi, tol)
-        return r, scan, probes + 1
-
     if rho > RADIUS_CAP:
-        r, witness, iterations = below(RADIUS_CAP)
+        f_cap, witness = value(RADIUS_CAP)
+        r, iterations = RADIUS_CAP, 1
+        if f_cap <= 0.0:
+            r, witness, probes = _bracket_root(value, RADIUS_CAP, f_cap, tol)
+            iterations += probes
     else:
         r, witness, iterations = _bracket_root(value, rho, -math.inf, tol)
-    if den is not None and r > 0.0:
-        iterations += 1
-        if not guard_ok(r):
-            # a zero count has no value to interpolate: each failure is -inf,
-            # so every step of this search bisects
-            r, _, extra = _bracket_root(
-                lambda x: (1.0 if guard_ok(x) else -math.inf, None), r, -math.inf, tol
-            )
-            iterations += extra
-            witness = None
-            if r > 0.0:
-                r, witness, extra = below(r)
-                iterations += extra
     clamped = r == RADIUS_CAP
     return RadiusResult(1.0 if clamped else r, witness, iterations, tol, clamped=clamped)
 
 
-def _zero_free(p: np.ndarray, roots: np.ndarray, r: float) -> bool:
-    """Whether the polynomial with coefficients ``p`` has no zeros in |z| < r.
+def _guard_bound(coeffs: np.ndarray) -> float:
+    """Certified lower bound on the root moduli of the polynomial with ``coeffs``.
 
-    :func:`count_zeros` is the certificate, but a zero near the circle keeps
-    its quadrature from settling.  So the ``roots`` of p (from ``np.roots``)
-    within ``_NEAR_ROOT`` outside the circle are divided out first:
-    p = P q + rem with P = prod(z - a).  By Rouche's theorem p has as many
-    zeros in the disc as P q when |rem| < |P q| on the circle.  |rem| is at
-    most the sum of its coefficient moduli times r^k; |P q| is taken at 4096
-    angles plus the angles of the divided-out zeros, where its dips lie.
-    The zeros of q, all away from the circle, are then counted.
+    Trailing zero coefficients are trimmed first, as ``np.roots`` drops
+    them; that leaves degree d and leading coefficient c_d, and a constant
+    (d = 0) gives inf.  Let a_i be the ``np.roots`` approximations to the d
+    zeros and w_i = p(a_i) / (c_d prod_{j != i} (a_i - a_j)).  Lagrange
+    interpolation at the a_i gives p(z) = c_d det(z I - M) with
+    M = diag(a) - w 1^T, so by Gerschgorin's theorem every zero of p lies in
+    a disc |z - (a_i - w_i)| <= (d - 1)|w_i| (B. T. Smith, J. ACM 17, 1970),
+    and every zero has modulus at least min_i |a_i - w_i| - (d - 1)|w_i|,
+    however far the a_i are off.
+
+    Rounding.  ``np.polyval`` is Horner's rule: each of its d steps makes
+    one complex product (relative error at most sqrt(2) gamma_2) and one
+    sum (at most u), so the computed p(a_i) lies within
+    gamma_{4d+1} sum_k |c_k| |a_i|^k of the exact value, where u = 2^-53 and
+    gamma_n = n u / (1 - n u) (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, Lemma 3.5 and section 5.1).  The product and the quotient
+    that form w_i add relative error below gamma_{4d+4}.  gamma = 8(d + 1) u
+    is about twice both, which leaves room for the second-order terms and
+    for the rounding of the bound's own few operations.  So
+    E_i = gamma (sum_k |c_k| |a_i|^k / |c_d prod (a_i - a_j)| + |w_i|
+    + |a_i - w_i|) exceeds the error of the computed w_i, its last term
+    covers the rounding of the disc's own arithmetic, and the bound is
+    min_i |a_i - w_i| - (d - 1)|w_i| - d E_i with computed w_i.  Returns
+    0.0 when that is not positive, or not a number (coincident
+    approximations make w_i infinite).
     """
-    near = roots[np.abs(roots) < (1.0 + _NEAR_ROOT) * r]
-    if near.size == 0:
-        return count_zeros(TruncatedSeries(p), r) == 0
-    if np.min(np.abs(near)) <= r:
-        return False
-    monic = np.poly(near)
-    q = np.polydiv(p[::-1], monic)[0]
-    rem = np.polysub(p[::-1], np.polymul(monic, q))
-    theta = np.concatenate([np.angle(near), np.arange(4096) * (_TWO_PI / 4096)])
-    z = r * np.exp(1j * theta)
-    low = np.min(np.abs(np.prod(z[:, None] - near, axis=1) * np.polyval(q, z)))
-    if np.sum(np.abs(rem) * r ** np.arange(rem.size)[::-1]) >= low:
-        return False
-    return count_zeros(TruncatedSeries(q[::-1]), r) == 0
+    p = np.trim_zeros(coeffs, "b")[::-1]
+    d = p.size - 1
+    if d < 1:
+        return math.inf
+    a = np.roots(p)
+    gaps = a[:, None] - a
+    np.fill_diagonal(gaps, 1.0)
+    scale = p[0] * np.prod(gaps, axis=1)
+    gamma = 8.0 * (d + 1) * _UNIT_ROUNDOFF
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w = np.polyval(p, a) / scale
+        centre = np.abs(a - w)
+        err = gamma * (np.polyval(np.abs(p), np.abs(a)) / np.abs(scale) + np.abs(w) + centre)
+        low = float(np.min(centre - (d - 1) * np.abs(w) - d * err))
+    return low if low > 0.0 else 0.0
 
 
 def _bracket_root(

@@ -20,6 +20,7 @@ from secradius.radius import (
     Criterion,
     _field_parts,
     _grid_field,
+    _guard_bound,
     _point_jet,
     boundary_min,
     count_zeros,
@@ -30,6 +31,14 @@ from secradius.radius import (
 from secradius.series import TruncatedSeries, identity, section
 from secradius.verify import _cube_jet, _g_jet
 from secradius.zoo import f0, koebe, rotation, sample_specs, synthesize_F
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    HAS_HYPOTHESIS = True
+except ImportError:  # pragma: no cover - optional dependency
+    HAS_HYPOTHESIS = False
 
 S2 = f0(2)  # z + 3/2 z^2, derivative 1 + 3z
 S3 = f0(3)
@@ -475,9 +484,9 @@ def test_radius_s2_starlike_and_univalence():
     loc = criterion_radius(S2, Criterion.LOCAL_UNIVALENCE)
     assert abs(star.radius - 1.0 / 3.0) <= 1e-6
     # |s'| stays positive on circles on *both* sides of 1/3, so the zero of
-    # s' at -1/3, the end of the search bracket, pins the radius.  The guard
-    # check divides that zero out before counting, so the result is within
-    # tol of it, not held off by the quadrature's reach.
+    # s' at -1/3, the end of the search bracket, pins the radius.  The
+    # certified guard bound sits within rounding of that zero, so the result
+    # is within tol of it.
     assert 1.0 / 3.0 - loc.tol <= loc.radius < 1.0 / 3.0
 
 
@@ -491,10 +500,13 @@ def test_radius_s3_re_deriv_closed_form():
 
 
 def test_radius_identity_clamps():
-    res = criterion_radius(identity(1), Criterion.RE_DERIV)
-    assert res.radius == 1.0
-    assert res.clamped
-    assert res.witness is not None and res.witness.r == RADIUS_CAP
+    # identity(3) has guard 1 + 0z + 0z^2, a constant once trimmed
+    for s in (identity(1), identity(3)):
+        for criterion in Criterion:
+            res = criterion_radius(s, criterion)
+            assert res.radius == 1.0
+            assert res.clamped
+            assert res.witness is not None and res.witness.r == RADIUS_CAP
 
 
 def _sampled_sections():
@@ -547,24 +559,90 @@ def count_zeros_radii(monkeypatch):
     return radii
 
 
-def test_starlike_solve_counts_zeros_at_most_once(count_zeros_radii):
-    """The bracket keeps zero counting out of the search: one guard check."""
+def test_radius_solve_makes_no_zero_count(count_zeros_radii):
+    """The certified guard bound leaves no zero count in any solve."""
     for s in [f0(n) for n in range(2, 31)] + [koebe(n) for n in range(5, 41)]:
-        count_zeros_radii.clear()
-        criterion_radius(s, Criterion.STARLIKENESS)
-        assert len(count_zeros_radii) <= 1
+        for criterion in Criterion:
+            criterion_radius(s, criterion)
+    assert count_zeros_radii == []
 
 
 def test_radius_guard_bound_path_survives_misplaced_rho(monkeypatch, count_zeros_radii):
-    """A root finder that puts the zero of s' at -0.9 instead of -1/3 widens
-    the bracket past the guard zero.  The guard check at the result then
-    fails, and the guard-bound search still finds the convexity radius 1/6."""
+    """A root finder that puts the zero of s' at -0.9 instead of -1/3 does
+    not widen the bracket: the Gerschgorin correction in the guard bound
+    moves the approximation back onto the zero.  Convexity still lands on
+    1/6, and local univalence, which only the guard binds, within tol below
+    1/3."""
     monkeypatch.setattr(np, "roots", lambda c: np.array([-0.9 + 0j]))
     res = criterion_radius(S2, Criterion.CONVEXITY)
-    assert len(count_zeros_radii) > 1
     assert 1.0 / 6.0 - res.tol <= res.radius <= 1.0 / 6.0
     assert res.witness is not None and res.witness.r == res.radius
     assert res.witness.min_value > 0.0
+    loc = criterion_radius(S2, Criterion.LOCAL_UNIVALENCE)
+    assert 1.0 / 3.0 - loc.tol <= loc.radius < 1.0 / 3.0
+    assert count_zeros_radii == []
+
+
+def test_radius_coincident_root_approximations_give_zero(monkeypatch):
+    """Coincident approximations certify no disc: radius 0 without a probe."""
+    monkeypatch.setattr(np, "roots", lambda c: np.full(c.size - 1, -0.5 + 0j))
+    res = criterion_radius(S3, Criterion.CONVEXITY)
+    assert res.radius == 0.0 and res.witness is None and not res.clamped
+    assert res.iterations == 0
+
+
+def _dyadic_guard(keys, lead):
+    """Zeros (kr + i ki) / 32 and the ascending coefficients of lead * prod(z - zeta).
+
+    Every product and sum in ``np.poly`` is exact for these zeros, so the
+    coefficients are the polynomial's, not a rounding of them.
+    """
+    zeros = np.array([complex(kr, ki) / 32.0 for kr, ki in keys])
+    return zeros, lead * np.poly(zeros)[::-1]
+
+
+if HAS_HYPOTHESIS:
+    _ZERO_SETS = st.lists(
+        st.tuples(st.integers(-48, 48), st.integers(-48, 48)).filter(
+            lambda k: k[0] ** 2 + k[1] ** 2 >= 64  # |zeta| >= 1/4
+        ),
+        min_size=1,
+        max_size=6,
+        unique=True,
+    )
+    _LEADS = st.sampled_from([1.0, 3.0, 0.125])
+
+    @given(_ZERO_SETS, _LEADS)
+    @settings(max_examples=300, deadline=None)
+    def test_guard_bound_is_certified_and_tight(keys, lead):
+        """zeta_min (1 - 1e-12) <= bound <= zeta_min for well-conditioned
+        zeros.  Clustered zeros widen the discs with their condition number
+        kappa = sum |c_k| |zeta|^k / |p'(zeta)|, so the slack is measured
+        against max(zeta_min, kappa)."""
+        zeros, coeffs = _dyadic_guard(keys, lead)
+        zeta_min = float(np.min(np.abs(zeros)))
+        desc = coeffs[::-1]
+        kappa = max(
+            np.polyval(np.abs(desc), abs(z)) / abs(np.polyval(np.polyder(desc), z))
+            for z in zeros
+        )
+        low = _guard_bound(coeffs)
+        assert zeta_min - 1e-12 * max(zeta_min, kappa) <= low <= zeta_min
+
+    @given(_ZERO_SETS, _LEADS, st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_guard_bound_errs_small_with_misplaced_roots(keys, lead, seed):
+        """Approximations off by up to 1e-2 relative never lift the bound
+        above the smallest zero modulus."""
+        zeros, coeffs = _dyadic_guard(keys, lead)
+        rng = np.random.default_rng(seed)
+        shift = 1e-2 * rng.uniform(size=zeros.size) * np.exp(
+            2j * np.pi * rng.uniform(size=zeros.size)
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "roots", lambda c: zeros * (1.0 + shift))
+            low = _guard_bound(coeffs)
+        assert low <= np.min(np.abs(zeros))
 
 
 def test_radius_result_err_is_small_side():
