@@ -25,7 +25,6 @@ witness, and a report is reproducible bit for bit from its seed.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -37,7 +36,6 @@ from .radius import (
     Criterion,
     RadiusResult,
     _circle_min,
-    _re_theta_jet,
     boundary_min,
     criterion_radius,
     golden_section_min,
@@ -132,20 +130,12 @@ def _g(theta: float) -> float:
     return 1.0 + math.cos(theta) + 0.5 * math.cos(2.0 * theta)
 
 
-def _g_jet(theta: float) -> tuple[float, float, float]:
-    """g(theta) and its first two derivatives."""
-    return (
-        _g(theta),
-        -math.sin(theta) - math.sin(2.0 * theta),
-        -math.cos(theta) - 2.0 * math.cos(2.0 * theta),
-    )
-
-
 def min_g(grid: int = 2048) -> VerificationItem:
-    """Global minimum of g(theta) = 1 + cos(theta) + cos(2*theta)/2."""
-    thetas = np.arange(grid) * (_TWO_PI / grid)
-    vals = 1.0 + np.cos(thetas) + 0.5 * np.cos(2.0 * thetas)
-    value, theta = _circle_min(vals, _g_jet)
+    """Global minimum of g(theta) = 1 + cos(theta) + cos(2*theta)/2.
+
+    g is Re(1 + z + z^2/2) on |z| = 1, scanned like any boundary field.
+    """
+    value, theta = _circle_min((np.array([1.0, 1.0, 0.5]), None), 1.0, grid)
     return make_item(
         "min_g", value, expected=0.25, tolerance=1e-10, witness=(1.0, theta)
     )
@@ -183,26 +173,18 @@ def min_T(theta_grid: int = 2048, phi_grid: int = 64) -> VerificationItem:
     )
 
 
-def _cube_jet(r: float, theta: float) -> tuple[float, float, float]:
-    """Re (1-z)^{-3} at z = r e^{i theta} and its first two theta-derivatives."""
-    z = cmath.rect(r, theta)
-    u = 1.0 - z
-    return _re_theta_jet(z, u**-3, 3.0 * u**-4, 12.0 * u**-5)
-
-
 def cube_min_by_boundary(r: float, grid: int = 2048) -> tuple[float, float]:
     """Path (i): minimum of Re (1-z)^{-3} on |z| = r; (value, theta).
 
     A grid scan followed by Newton refinement on the analytic
-    theta-derivative of the kernel, as in :func:`boundary_min`.  At r = 1/3
-    the minimum at theta = pi is quartic (the second derivative vanishes
-    there), so the refinement bisects, in about 28 evaluations.
+    theta-derivative of the kernel, through the same scan as
+    :func:`boundary_min`.  At r = 1/3 the minimum at theta = pi is quartic
+    (the second derivative vanishes there), so the Newton steps shrink only
+    by about a third each and the refinement takes about 43 evaluations.
     """
     if not 0.0 < r < 1.0:
         raise DomainError(f"radius must lie in (0, 1), got {r}")
-    thetas = np.arange(grid) * (_TWO_PI / grid)
-    vals = ((1.0 - r * np.exp(1j * thetas)) ** -3).real
-    return _circle_min(vals, lambda t: _cube_jet(r, t))
+    return _circle_min((np.ones(1), np.array([1.0, -3.0, 3.0, -1.0])), r, grid)
 
 
 def cube_min_by_cubic() -> float:
