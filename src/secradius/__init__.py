@@ -15,151 +15,23 @@ argument-principle zero counting, radius solves), ``verify`` (named
 constants and randomized suites), ``cli`` (the ``secradius`` command).
 """
 
-from .bounds import (
-    coeff_bound,
-    cube_series_tail,
-    deriv_envelope,
-    k_tail,
-    tail_derivative_bound,
-)
-from .exceptions import (
-    CrossCheckError,
-    DomainError,
-    OrderError,
-    PoleProximityError,
-    SecradiusError,
-    ValidationError,
-    WindingError,
-    ZeroOnCircleError,
-)
-from .radius import (
-    RADIUS_CAP,
-    BoundaryScan,
-    Criterion,
-    RadiusResult,
-    boundary_min,
-    count_zeros,
-    criterion_radius,
-    criterion_value,
-    golden_section_min,
-)
-from .series import (
-    TruncatedSeries,
-    add,
-    derivative,
-    divide,
-    evaluate,
-    identity,
-    is_normalized,
-    multiply,
-    section,
-    subtract,
-    tail,
-)
-from .verify import (
-    CONJECTURE2_THRESHOLD,
-    THEOREM1_RADIUS,
-    VerificationItem,
-    VerificationReport,
-    classical_radius_scan,
-    conjecture2_scan,
-    cube_min_by_boundary,
-    cube_min_by_cubic,
-    figure1_curves,
-    full_suite,
-    make_item,
-    min_T,
-    min_g,
-    min_re_cube_kernel,
-    n4_margin,
-    sharpness_witnesses,
-    theorem1_suite,
-)
-from .zoo import (
-    GENERATOR_NAME,
-    HerglotzSpec,
-    cube_kernel,
-    f0,
-    half_plane,
-    koebe,
-    p_coeffs,
-    roots_of_unity_spec,
-    rotation,
-    sample_specs,
-    spec_from_seed,
-    synthesize_F,
-)
+from . import bounds, exceptions, radius, series, verify, zoo
+from .bounds import *
+from .exceptions import *
+from .radius import *
+from .series import *
+from .verify import *
+from .zoo import *
 
 __version__ = "0.1.0"
 
+# each submodule's ``__all__`` is the one list of its public names
 __all__ = [
     "__version__",
-    # series
-    "TruncatedSeries",
-    "identity",
-    "is_normalized",
-    "evaluate",
-    "derivative",
-    "multiply",
-    "divide",
-    "add",
-    "subtract",
-    "section",
-    "tail",
-    # zoo
-    "HerglotzSpec",
-    "GENERATOR_NAME",
-    "koebe",
-    "half_plane",
-    "f0",
-    "cube_kernel",
-    "p_coeffs",
-    "synthesize_F",
-    "rotation",
-    "roots_of_unity_spec",
-    "sample_specs",
-    "spec_from_seed",
-    # bounds
-    "coeff_bound",
-    "deriv_envelope",
-    "tail_derivative_bound",
-    "k_tail",
-    "cube_series_tail",
-    # radius
-    "Criterion",
-    "BoundaryScan",
-    "RadiusResult",
-    "RADIUS_CAP",
-    "criterion_value",
-    "boundary_min",
-    "criterion_radius",
-    "count_zeros",
-    "golden_section_min",
-    # verify
-    "VerificationItem",
-    "VerificationReport",
-    "make_item",
-    "THEOREM1_RADIUS",
-    "CONJECTURE2_THRESHOLD",
-    "min_g",
-    "min_T",
-    "min_re_cube_kernel",
-    "cube_min_by_boundary",
-    "cube_min_by_cubic",
-    "n4_margin",
-    "sharpness_witnesses",
-    "theorem1_suite",
-    "conjecture2_scan",
-    "classical_radius_scan",
-    "figure1_curves",
-    "full_suite",
-    # exceptions
-    "SecradiusError",
-    "ValidationError",
-    "DomainError",
-    "OrderError",
-    "PoleProximityError",
-    "ZeroOnCircleError",
-    "WindingError",
-    "CrossCheckError",
+    *series.__all__,
+    *zoo.__all__,
+    *bounds.__all__,
+    *radius.__all__,
+    *verify.__all__,
+    *exceptions.__all__,
 ]

@@ -40,6 +40,8 @@ from .zoo import GENERATOR_NAME, HerglotzSpec, f0, half_plane, koebe, sample_spe
 __all__ = ["main", "build_parser"]
 
 _SECTIONS_RE = re.compile(r"^(\d+)\.\.(\d+)$")
+_SVG_SIZE = 800  # viewport width and height in pixels
+_SVG_MARGIN_FRAC = 0.05  # blank margin on each side, as a share of the viewport
 
 
 def _timestamp() -> str:
@@ -80,6 +82,19 @@ def _emit(payload: dict, out: str | None) -> None:
         print(f"wrote {out}", file=sys.stderr)
 
 
+def _library_kwargs(args, *flags: str, **renamed: str) -> dict:
+    """Library keyword arguments for the flags the user set.
+
+    Every flag that maps to a library keyword defaults to None, so an unset
+    flag leaves the library's own default in force.  ``flags`` name flags
+    whose keyword has the same name; ``renamed`` maps keyword to flag.
+    """
+    pairs = [(flag, flag) for flag in flags] + list(renamed.items())
+    return {
+        key: getattr(args, flag) for key, flag in pairs if getattr(args, flag) is not None
+    }
+
+
 def _parse_sections(parser: argparse.ArgumentParser, text: str) -> tuple[int, int]:
     match = _SECTIONS_RE.match(text)
     if match is None:
@@ -116,11 +131,7 @@ def _section_series(args, parser: argparse.ArgumentParser) -> TruncatedSeries:
 
 def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
     report = full_suite(
-        count=args.count,
-        atom_count=args.atom_count,
-        n_max=args.n_max,
-        seed=args.seed,
-        tol=args.tol,
+        **_library_kwargs(args, "count", "atom_count", "n_max", "seed", "tol")
     )
     _emit(_report_payload(report), args.out)
     if not report.passed:
@@ -132,7 +143,9 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
 
 def _cmd_radius(args, parser: argparse.ArgumentParser) -> int:
     s = _section_series(args, parser)
-    res = criterion_radius(s, Criterion(args.criterion), args.tol, args.grid)
+    res = criterion_radius(
+        s, Criterion(args.criterion), **_library_kwargs(args, "tol", grid_size="grid")
+    )
     theta = res.witness.argmin_theta if res.witness is not None else None
     print(
         json.dumps({"radius": res.radius, "witness_theta": theta, "clamped": res.clamped})
@@ -161,18 +174,19 @@ def _cmd_sample(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _svg_document(points, size: int = 800, margin_frac: float = 0.05) -> str:
+def _svg_document(points) -> str:
     """SVG 1.1 document: the curve as a polyline, axes through w = 0.
 
     The bounding box is the curve united with the origin, scaled uniformly
     (no aspect distortion) to fit the viewport minus a margin on each side.
     """
+    size = _SVG_SIZE
     xs = points.real
     ys = points.imag
     xmin, xmax = min(float(xs.min()), 0.0), max(float(xs.max()), 0.0)
     ymin, ymax = min(float(ys.min()), 0.0), max(float(ys.max()), 0.0)
     span = max(xmax - xmin, ymax - ymin, 1e-12)
-    margin = margin_frac * size
+    margin = _SVG_MARGIN_FRAC * size
     scale = (size - 2.0 * margin) / span
     cx, cy = 0.5 * (xmin + xmax), 0.5 * (ymin + ymax)
 
@@ -213,7 +227,7 @@ def _cmd_plot(args, parser: argparse.ArgumentParser) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
     for r in radii:
-        curve = figure1_curves(r, args.samples)
+        curve = figure1_curves(r, **_library_kwargs(args, "samples"))
         path = outdir / f"{args.map.replace('-', '_')}_r{r!r}.svg"
         path.write_text(_svg_document(curve), encoding="utf-8")
         written.append(str(path))
@@ -223,29 +237,20 @@ def _cmd_plot(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_scan(args, parser: argparse.ArgumentParser) -> int:
-    # an unset flag leaves the target's own default in force
-    solver = {
-        key: value for key, value in (("grid", args.grid), ("tol", args.tol))
-        if value is not None
-    }
+    kwargs = _library_kwargs(args, "grid", "tol")
+    if args.sections is not None:
+        kwargs["n_min"], kwargs["n_max"] = _parse_sections(parser, args.sections)
+    n_min = kwargs.get("n_min")
     if args.target == "conjecture2":
-        lo, hi = _parse_sections(parser, args.sections or "2..30")
-        if lo < 2:
+        if n_min is not None and n_min < 2:
             parser.error("conjecture2 sections start at n = 2")
-        report = conjecture2_scan(
-            count=args.count,
-            atom_count=args.atom_count,
-            n_max=hi,
-            seed=args.seed,
-            n_min=lo,
-            **solver,
-        )
+        kwargs.update(_library_kwargs(args, "count", "atom_count", "seed"))
+        report = conjecture2_scan(**kwargs)
         found = bool(report.parameters["counterexample_found"])
     else:
-        lo, hi = _parse_sections(parser, args.sections or "5..40")
-        if lo < 5:
+        if n_min is not None and n_min < 5:
             parser.error("the classical threshold is stated for n >= 5")
-        report = classical_radius_scan(lo, hi, **solver)
+        report = classical_radius_scan(**kwargs)
         found = not report.passed
     _emit(_report_payload(report), args.out)
     if found:
@@ -264,11 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("--out", help="report path (default: standard output)")
-    p.add_argument("--tol", type=float, default=1e-9, help="radius tolerance")
-    p.add_argument("--count", type=int, default=200, help="sampled spec count")
-    p.add_argument("--atom-count", type=int, default=3, help="atoms per spec")
-    p.add_argument("--n-max", type=int, default=20, help="largest section order")
-    p.add_argument("--seed", type=int, default=7, help="sampling seed")
+    p.add_argument("--tol", type=float, help="radius tolerance")
+    p.add_argument("--count", type=int, help="sampled spec count")
+    p.add_argument("--atom-count", type=int, help="atoms per spec")
+    p.add_argument("--n-max", type=int, help="largest section order")
+    p.add_argument("--seed", type=int, help="sampling seed")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("radius", help="radius of one criterion for one section")
@@ -282,13 +287,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--criterion",
         required=True,
-        choices=["re-deriv", "convex", "starlike", "local-univalence"],
+        choices=[c.value for c in Criterion],
         help="geometric property to measure",
     )
     p.add_argument("--spec-file", help="JSON spec file (for --function spec-file)")
     p.add_argument("--index", type=int, default=0, help="spec index in the file")
-    p.add_argument("--tol", type=float, default=1e-9, help="radius tolerance")
-    p.add_argument("--grid", type=int, default=2048, help="boundary grid size")
+    p.add_argument("--tol", type=float, help="radius tolerance")
+    p.add_argument("--grid", type=int, help="boundary grid size")
     p.set_defaults(func=_cmd_radius)
 
     p = sub.add_parser("sample", help="draw reproducible Herglotz specs")
@@ -311,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated radii in (0, 1)",
     )
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--samples", type=int, default=2048, help="points per curve")
+    p.add_argument("--samples", type=int, help="points per curve")
     p.set_defaults(func=_cmd_plot)
 
     p = sub.add_parser("scan", help="advisory starlikeness scans")
@@ -321,44 +326,36 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["conjecture2", "classical"],
         help="which scan to run",
     )
-    p.add_argument("--count", type=int, default=500, help="sampled spec count")
-    p.add_argument("--atom-count", type=int, default=3, help="atoms per spec")
+    p.add_argument("--count", type=int, help="sampled spec count (conjecture2)")
+    p.add_argument("--atom-count", type=int, help="atoms per spec (conjecture2)")
     p.add_argument("--sections", help="inclusive section range a..b")
-    p.add_argument("--seed", type=int, default=11, help="sampling seed")
-    p.add_argument(
-        "--grid",
-        type=int,
-        help="boundary grid size (default: 512 for conjecture2, 2048 for classical)",
-    )
-    p.add_argument(
-        "--tol",
-        type=float,
-        help="radius tolerance (default: 1e-7 for conjecture2, 1e-9 for classical)",
-    )
+    p.add_argument("--seed", type=int, help="sampling seed (conjecture2)")
+    p.add_argument("--grid", type=int, help="boundary grid size")
+    p.add_argument("--tol", type=float, help="radius tolerance")
     p.add_argument("--out", help="report path (default: standard output)")
     p.set_defaults(func=_cmd_scan)
 
     return parser
 
 
+# smallest value each numeric flag accepts; an unset flag (None) is skipped
+_FLAG_MINIMA = {
+    "count": 1,
+    "atom_count": 1,
+    "n_max": 2,
+    "section": 1,
+    "samples": 8,
+    "grid": 16,
+    "tol": 1e-12,
+    "index": 0,
+}
+
+
 def _validate_common(args, parser: argparse.ArgumentParser) -> None:
-    for flag in ("count", "atom_count"):
-        if hasattr(args, flag) and getattr(args, flag) < 1:
-            parser.error(f"--{flag.replace('_', '-')} must be at least 1")
-    if getattr(args, "n_max", 2) < 2:
-        parser.error("--n-max must be at least 2")
-    if getattr(args, "section", 1) < 1:
-        parser.error("--section must be at least 1")
-    if getattr(args, "samples", 8) < 8:
-        parser.error("--samples must be at least 8")
-    grid = getattr(args, "grid", None)
-    if grid is not None and grid < 16:
-        parser.error("--grid must be at least 16")
-    tol = getattr(args, "tol", None)
-    if tol is not None and tol < 1e-12:
-        parser.error("--tol must be at least 1e-12")
-    if getattr(args, "index", 0) < 0:
-        parser.error("--index must be non-negative")
+    for flag, least in _FLAG_MINIMA.items():
+        value = getattr(args, flag, None)
+        if value is not None and value < least:
+            parser.error(f"--{flag.replace('_', '-')} must be at least {least}")
 
 
 def main(argv=None) -> int:

@@ -1,5 +1,16 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "SecradiusError",
+    "ValidationError",
+    "DomainError",
+    "OrderError",
+    "PoleProximityError",
+    "ZeroOnCircleError",
+    "WindingError",
+    "CrossCheckError",
+]
+
 
 class SecradiusError(Exception):
     """Base class for all package-specific errors."""

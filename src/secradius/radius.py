@@ -76,6 +76,10 @@ RADIUS_CAP = 1.0 - 1e-6
 
 _POLE_TOL = 1e-300
 _UNIT_ROUNDOFF = 2.0**-53
+_GOLDEN_XTOL = 1e-12  # bracket width at which golden_section_min stops
+_THETA_TOL = 1e-12  # Newton step at which _circle_min stops
+_BOUNDARY_TOL = 1e-9  # count_zeros: |s| below this puts a zero on the contour
+_RESIDUAL_TOL = 1e-3  # count_zeros: winding mean's allowed distance from an integer
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _TWO_PI = 2.0 * math.pi
 
@@ -123,12 +127,14 @@ class RadiusResult:
 
 
 def golden_section_min(
-    fn: Callable[[float], float], a: float, b: float, xtol: float = 1e-12
+    fn: Callable[[float], float], a: float, b: float
 ) -> tuple[float, float]:
     """Golden-section minimizer of ``fn`` on [a, b]; returns (x, fn(x)).
 
-    Tracks the best probe seen, so the returned value never exceeds any
-    evaluation made during the search.  Exact value ties go to the smaller x.
+    The search stops once the bracket is at most ``_GOLDEN_XTOL`` = 1e-12
+    wide.  Tracks the best probe seen, so the returned value never exceeds
+    any evaluation made during the search.  Exact value ties go to the
+    smaller x.
     Needing no derivatives, it refines ``verify.min_T``, the independent
     cross-check of the Newton-refined scans.
     """
@@ -140,7 +146,7 @@ def golden_section_min(
     fc = fn(c)
     fd = fn(d)
     best = min((fc, c), (fd, d))
-    while (b - a) > xtol:
+    while (b - a) > _GOLDEN_XTOL:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -279,9 +285,7 @@ def _grid_field(parts: tuple, r: float, grid: int) -> np.ndarray:
     return (num / den).real
 
 
-def _circle_min(
-    parts: tuple, r: float, grid: int, theta_tol: float = 1e-12
-) -> tuple[float, float]:
+def _circle_min(parts: tuple, r: float, grid: int) -> tuple[float, float]:
     """Minimum over the circle |z| = r of the field of ``parts``; (value, theta).
 
     ``parts`` is a (num, den) pair as returned by :func:`_field_parts`.  The
@@ -293,10 +297,13 @@ def _circle_min(
     derivative.  The next point is the Newton step when the second
     derivative is positive and finite and the step stays inside the
     bracket, else the bracket's midpoint.  The search stops at a step of at
-    most ``theta_tol``, tested before the bracket: at a minimum on a grid
+    most ``_THETA_TOL``, tested before the bracket: at a minimum on a grid
     point the Newton step can round onto the bracket's end.  Returns the
     lexicographic minimum of (value, theta) over everything evaluated, the
-    grid point included, with theta wrapped into [0, 2*pi).
+    grid point included, with theta wrapped into [0, 2*pi).  When every
+    coefficient is real the field is even in theta, so theta is reported as
+    the mirror angle in [0, pi], so rounding cannot decide which of the two
+    equal minima a report names.
     """
     vals = _grid_field(parts, r, grid)
     jet = _point_jet(parts)
@@ -313,66 +320,63 @@ def _circle_min(
         else:
             lo = theta
         dt = -d1 / d2 if 0.0 < d2 < math.inf else math.nan
-        if not (abs(dt) <= theta_tol or lo < theta + dt < hi):
+        if not (abs(dt) <= _THETA_TOL or lo < theta + dt < hi):
             dt = 0.5 * (lo + hi) - theta
-        if abs(dt) <= theta_tol:
+        if abs(dt) <= _THETA_TOL:
             break
         theta += dt
-    return best[0], best[1] % _TWO_PI
+    theta = best[1] % _TWO_PI
+    if theta > math.pi and not any(
+        np.count_nonzero(p.imag) for p in parts if p is not None
+    ):
+        theta = _TWO_PI - theta
+    return best[0], theta
 
 
 def boundary_min(
-    s: TruncatedSeries,
-    criterion: Criterion,
-    r: float,
-    grid_size: int = 2048,
-    theta_tol: float = 1e-12,
+    s: TruncatedSeries, criterion: Criterion, r: float, grid_size: int = 2048
 ) -> BoundaryScan:
     """Minimum of the criterion field over the circle |z| = r.
 
     A uniform scan of ``grid_size`` angles picks the coarse minimizer, and
     safeguarded Newton steps on the field's analytic theta-derivative refine
     it inside the two adjacent grid cells until a step is at most
-    ``theta_tol``; :func:`_circle_min` gives the tie and wrapping rules.
+    ``_THETA_TOL`` = 1e-12; :func:`_circle_min` gives the tie and wrapping
+    rules (on a real-coefficient section theta lies in [0, pi]).
     """
     criterion = Criterion(criterion)
     if not 0.0 < r < 1.0:
         raise DomainError(f"scan radius must lie in (0, 1), got {r}")
     if grid_size < 16:
         raise ValidationError(f"grid must have at least 16 points, got {grid_size}")
-    value, theta = _circle_min(_field_parts(s, criterion), r, grid_size, theta_tol)
+    value, theta = _circle_min(_field_parts(s, criterion), r, grid_size)
     return BoundaryScan(r=r, grid_size=grid_size, min_value=value, argmin_theta=theta)
 
 
 def count_zeros(
-    s: TruncatedSeries,
-    r: float,
-    start: int = 4096,
-    limit: int = 1 << 20,
-    boundary_tol: float = 1e-9,
-    residual_tol: float = 1e-3,
+    s: TruncatedSeries, r: float, start: int = 4096, limit: int = 1 << 20
 ) -> int:
     """Number of zeros of ``s`` in |z| < r by argument-principle quadrature.
 
     The winding number (1/(2 pi i)) * integral of s'/s along the circle
     reduces to the mean of z s'(z)/s(z) over uniformly spaced sample points.
     The sample count doubles from ``start`` (reusing earlier evaluations)
-    until the mean lands within ``residual_tol`` of the same integer, with
-    imaginary part below ``residual_tol``, on two consecutive refinement
-    levels.  A short level can alias to a wrong integer; the tight default
-    makes two consecutive levels agree to within 2e-3 before a count is
-    trusted, which an aliased level does not do.
+    until the mean lands within ``_RESIDUAL_TOL`` = 1e-3 of the same
+    integer, with imaginary part below ``_RESIDUAL_TOL``, on two consecutive
+    refinement levels.  A short level can alias to a wrong integer; the
+    tight tolerance makes two consecutive levels agree to within 2e-3 before
+    a count is trusted, which an aliased level does not do.
 
-    Raises :class:`ZeroOnCircleError` when |s| dips below ``boundary_tol``
-    at a sample point -- a zero too close to the contour for the quadrature
-    to be trusted -- and :class:`WindingError` if agreement is not reached
-    within ``limit`` points.
+    Raises :class:`ZeroOnCircleError` when |s| dips below ``_BOUNDARY_TOL``
+    = 1e-9 at a sample point -- a zero too close to the contour for the
+    quadrature to be trusted -- and :class:`WindingError` if agreement is
+    not reached within ``limit`` points.
     """
     if not 0.0 < r < 1.0:
         raise DomainError(f"radius must lie in (0, 1), got {r}")
     coeffs = s.coeffs
     if coeffs.size == 1:
-        if abs(coeffs[0]) < boundary_tol:
+        if abs(coeffs[0]) < _BOUNDARY_TOL:
             raise ZeroOnCircleError("constant term below tolerance; series is ~0")
         return 0
     zds = coeffs * np.arange(coeffs.size)  # z s'(z)
@@ -382,7 +386,7 @@ def count_zeros(
         w = cmath.rect(r, phase)
         sv = _circle_values(coeffs, w, m)
         small = int(np.argmin(np.abs(sv)))
-        if abs(sv[small]) < boundary_tol:
+        if abs(sv[small]) < _BOUNDARY_TOL:
             raise ZeroOnCircleError(
                 f"|s| = {abs(sv[small]):.3e} at theta = "
                 f"{phase + small * _TWO_PI / m:.12f} "
@@ -395,7 +399,7 @@ def count_zeros(
     prev: int | None = None
     while True:
         w = total / m
-        if abs(w.imag) < residual_tol and abs(w.real - round(w.real)) < residual_tol:
+        if abs(w.imag) < _RESIDUAL_TOL and abs(w.real - round(w.real)) < _RESIDUAL_TOL:
             k = round(w.real)
             if prev == k:
                 if k < 0:

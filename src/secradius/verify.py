@@ -65,6 +65,10 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 
+# scan grid of the constant checks and the randomized suite; min_T's phi grid
+_GRID = 2048
+_PHI_GRID = 64
+
 #: Evaluation radius of the randomized suite: the open-disc statement is
 #: checked just inside 1/3, where the extremal's margin is 3e-6, not 0.
 THEOREM1_RADIUS = 1.0 / 3.0 - 1e-6
@@ -130,30 +134,31 @@ def _g(theta: float) -> float:
     return 1.0 + math.cos(theta) + 0.5 * math.cos(2.0 * theta)
 
 
-def min_g(grid: int = 2048) -> VerificationItem:
+def min_g() -> VerificationItem:
     """Global minimum of g(theta) = 1 + cos(theta) + cos(2*theta)/2.
 
     g is Re(1 + z + z^2/2) on |z| = 1, scanned like any boundary field.
     """
-    value, theta = _circle_min((np.array([1.0, 1.0, 0.5]), None), 1.0, grid)
+    value, theta = _circle_min((np.array([1.0, 1.0, 0.5]), None), 1.0, _GRID)
     return make_item(
         "min_g", value, expected=0.25, tolerance=1e-10, witness=(1.0, theta)
     )
 
 
-def min_T(theta_grid: int = 2048, phi_grid: int = 64) -> VerificationItem:
+def min_T() -> VerificationItem:
     """Global minimum of T(theta, phi) = g(theta) + cos(phi)/6.
 
-    phi enters only through cos(phi), so a coarse phi grid suffices; a few
-    rounds of coordinate-wise golden refinement polish both angles.
+    A ``_GRID`` by ``_PHI_GRID`` grid scan (phi enters only through
+    cos(phi), so a coarse phi grid suffices), then a few rounds of
+    coordinate-wise golden refinement polish both angles.
     """
-    thetas = np.arange(theta_grid) * (_TWO_PI / theta_grid)
-    phis = np.arange(phi_grid) * (_TWO_PI / phi_grid)
+    thetas = np.arange(_GRID) * (_TWO_PI / _GRID)
+    phis = np.arange(_PHI_GRID) * (_TWO_PI / _PHI_GRID)
     gvals = 1.0 + np.cos(thetas) + 0.5 * np.cos(2.0 * thetas)
     total = gvals[:, None] + (np.cos(phis) / 6.0)[None, :]
     i, j = np.unravel_index(int(np.argmin(total)), total.shape)
-    tstep = _TWO_PI / theta_grid
-    pstep = _TWO_PI / phi_grid
+    tstep = _TWO_PI / _GRID
+    pstep = _TWO_PI / _PHI_GRID
     th, ph = i * tstep, j * pstep
     for _ in range(3):
         th, _v = golden_section_min(
@@ -173,18 +178,19 @@ def min_T(theta_grid: int = 2048, phi_grid: int = 64) -> VerificationItem:
     )
 
 
-def cube_min_by_boundary(r: float, grid: int = 2048) -> tuple[float, float]:
+def cube_min_by_boundary(r: float) -> tuple[float, float]:
     """Path (i): minimum of Re (1-z)^{-3} on |z| = r; (value, theta).
 
-    A grid scan followed by Newton refinement on the analytic
+    A ``_GRID``-point scan followed by Newton refinement on the analytic
     theta-derivative of the kernel, through the same scan as
-    :func:`boundary_min`.  At r = 1/3 the minimum at theta = pi is quartic
-    (the second derivative vanishes there), so the Newton steps shrink only
-    by about a third each and the refinement takes about 43 evaluations.
+    :func:`boundary_min`; theta lies in [0, pi].  At r = 1/3 the minimum at
+    theta = pi is quartic (the second derivative vanishes there), so the
+    Newton steps shrink only by about a third each and the refinement takes
+    about 43 evaluations.
     """
     if not 0.0 < r < 1.0:
         raise DomainError(f"radius must lie in (0, 1), got {r}")
-    return _circle_min((np.ones(1), np.array([1.0, -3.0, 3.0, -1.0])), r, grid)
+    return _circle_min((np.ones(1), np.array([1.0, -3.0, 3.0, -1.0])), r, _GRID)
 
 
 def cube_min_by_cubic() -> float:
@@ -212,14 +218,14 @@ def cube_min_by_cubic() -> float:
     return min(p(x) for x in candidates)
 
 
-def min_re_cube_kernel(r: float, grid: int = 2048) -> VerificationItem:
+def min_re_cube_kernel(r: float) -> VerificationItem:
     """Minimum of Re (1-z)^{-3} over |z| = r, cross-checked at r = 1/3.
 
     At r = 1/3 the boundary-sampling path and the cubic-reduction path must
     agree within 1e-9 (else :class:`CrossCheckError`), and the known value
     27/64 becomes the expectation; at other radii the item is informational.
     """
-    value, theta = cube_min_by_boundary(r, grid)
+    value, theta = cube_min_by_boundary(r)
     at_third = abs(r - 1.0 / 3.0) < 1e-12
     expected = None
     if at_third:
@@ -306,19 +312,16 @@ def _sample_entries(
 
 
 def theorem1_suite(
-    count: int = 200,
-    atom_count: int = 3,
-    n_max: int = 20,
-    seed: int = 7,
-    grid: int = 2048,
+    count: int = 200, atom_count: int = 3, n_max: int = 20, seed: int = 7
 ) -> VerificationReport:
     """Randomized check that sections keep Re s_n' > 0 up to radius 1/3.
 
     Every sampled family member is truncated to each order 2..n_max and its
     derivative's real part is minimized over the circle of radius
-    1/3 - 1e-6.  The suite asserts the global minimum margin stays above
-    -1e-9 and that the injected extremal attains a near-zero margin at
-    n = 2; the raw minimum is reported as an informational item.
+    1/3 - 1e-6 on a ``_GRID``-point scan.  The suite asserts the global
+    minimum margin stays above -1e-9 and that the injected extremal attains
+    a near-zero margin at n = 2; the raw minimum is reported as an
+    informational item.
     """
     if n_max < 2:
         raise ValidationError(f"n_max must be >= 2, got {n_max}")
@@ -333,7 +336,7 @@ def theorem1_suite(
     for label, spec in entries:
         f = synthesize_F(spec, order=n_max)
         for n in range(2, n_max + 1):
-            scan = boundary_min(section(f, n), Criterion.RE_DERIV, r, grid)
+            scan = boundary_min(section(f, n), Criterion.RE_DERIV, r, _GRID)
             if scan.min_value < best_margin:
                 best_margin = scan.min_value
                 best_label, best_n, best_theta = label, n, scan.argmin_theta
@@ -364,7 +367,7 @@ def theorem1_suite(
         "atom_count": atom_count,
         "n_max": n_max,
         "radius": r,
-        "grid": grid,
+        "grid": _GRID,
         "min_margin_spec": best_label,
         "min_margin_n": best_n,
         "min_margin_theta": best_theta,

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface (run in process)."""
 
 import json
+import re
 from datetime import datetime
 
 import pytest
@@ -9,7 +10,7 @@ import secradius.cli as cli
 from secradius.cli import build_parser, main
 from secradius.radius import Criterion, criterion_radius
 from secradius.series import section
-from secradius.verify import VerificationReport, make_item
+from secradius.verify import VerificationReport, full_suite, make_item
 from secradius.zoo import f0, koebe, spec_from_seed, synthesize_F
 
 REPORT_KEYS = ["schema_version", "seed", "generator_name", "parameters", "items", "generated_at"]
@@ -60,6 +61,17 @@ def test_verify_is_deterministic_modulo_timestamp(tmp_path):
     pa.pop("generated_at")
     pb.pop("generated_at")
     assert pa == pb
+
+
+def test_verify_unset_flags_mean_library_defaults(tmp_path):
+    """Flags left unset reach the library as its own defaults: the report
+    equals full_suite's byte for byte, apart from the timestamp."""
+    out = tmp_path / "report.json"
+    assert main(["verify", "--count", "2", "--n-max", "3", "--out", str(out)]) == 0
+    library = cli._report_payload(full_suite(count=2, n_max=3))
+    stamp = re.compile(r'"generated_at": "[^"]*"')
+    expected = json.dumps(library, indent=2) + "\n"
+    assert stamp.sub("", out.read_text()) == stamp.sub("", expected)
 
 
 def test_verify_writes_stdout_by_default(capsys):
@@ -313,6 +325,10 @@ def test_scan_solver_flags_reach_report(capsys, argv, grid, tol):
     _code, payload = _run_json(capsys, ["scan", *argv])
     assert payload["parameters"]["grid"] == grid
     assert payload["parameters"]["tol"] == tol
+    if "conjecture2" in argv:
+        # no --seed or --atom-count: conjecture2_scan's defaults reach the report
+        assert payload["seed"] == 11
+        assert payload["parameters"]["atom_count"] == 3
 
 
 def test_scan_exit_three_on_counterexample(tmp_path, capsys, monkeypatch):

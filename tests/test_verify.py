@@ -28,7 +28,7 @@ from secradius.verify import (
     sharpness_witnesses,
     theorem1_suite,
 )
-from secradius.zoo import GENERATOR_NAME, roots_of_unity_spec, synthesize_F
+from secradius.zoo import GENERATOR_NAME, f0, koebe, roots_of_unity_spec, synthesize_F
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +299,27 @@ def test_classical_scan_small():
     assert all(b > a for a, b in zip(radii, radii[1:]))
     # and stays above the classical threshold with slack
     assert radii[0] > 1.0 - 0.6 * math.log(5.0) - 1e-6
+
+
+def test_real_coefficient_witness_angles_lie_in_zero_to_pi():
+    """A field with real coefficients is even in theta, so a witness names the
+    mirror angle in [0, pi], never the one that rounding happened to favour."""
+    items = [
+        *classical_radius_scan().items,
+        *sharpness_witnesses(),
+        min_g(),
+        min_re_cube_kernel(1.0 / 3.0),
+    ]
+    thetas = {item.name: item.witness[1] for item in items}
+    sections = [(f"f0({n})", f0(n)) for n in range(2, 31)]
+    sections += [(f"koebe({n})", koebe(n)) for n in range(5, 41)]
+    for label, s in sections:
+        for criterion in Criterion:
+            for r in (0.3, 0.6):
+                scan = boundary_min(s, criterion, r)
+                thetas[f"{label} {criterion.value} r={r}"] = scan.argmin_theta
+    outside = {name: theta for name, theta in thetas.items() if not 0.0 <= theta <= math.pi}
+    assert outside == {}
 
 
 def test_classical_scan_validation():
