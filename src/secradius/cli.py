@@ -42,6 +42,8 @@ __all__ = ["main", "build_parser"]
 _SECTIONS_RE = re.compile(r"^(\d+)\.\.(\d+)$")
 _SVG_SIZE = 800  # viewport width and height in pixels
 _SVG_MARGIN_FRAC = 0.05  # blank margin on each side, as a share of the viewport
+# --function choices; spec-file has no builder, its series comes from --spec-file
+_FUNCTIONS = {"f0": f0, "koebe": koebe, "half-plane": half_plane, "spec-file": None}
 
 
 def _timestamp() -> str:
@@ -117,12 +119,9 @@ def _load_spec_file(path: str, index: int) -> HerglotzSpec:
 
 def _section_series(args, parser: argparse.ArgumentParser) -> TruncatedSeries:
     n = args.section
-    if args.function == "f0":
-        return f0(n)
-    if args.function == "koebe":
-        return koebe(n)
-    if args.function == "half-plane":
-        return half_plane(n)
+    build = _FUNCTIONS[args.function]
+    if build is not None:
+        return build(n)
     if args.spec_file is None:
         parser.error("--function spec-file requires --spec-file")
     spec = _load_spec_file(args.spec_file, args.index)
@@ -228,7 +227,7 @@ def _cmd_plot(args, parser: argparse.ArgumentParser) -> int:
     written = []
     for r in radii:
         curve = figure1_curves(r, **_library_kwargs(args, "samples"))
-        path = outdir / f"{args.map.replace('-', '_')}_r{r!r}.svg"
+        path = outdir / f"cube_kernel_r{r!r}.svg"
         path.write_text(_svg_document(curve), encoding="utf-8")
         written.append(str(path))
         print(f"wrote {path}", file=sys.stderr)
@@ -241,15 +240,17 @@ def _cmd_scan(args, parser: argparse.ArgumentParser) -> int:
     if args.sections is not None:
         kwargs["n_min"], kwargs["n_max"] = _parse_sections(parser, args.sections)
     n_min = kwargs.get("n_min")
+    sampling = _library_kwargs(args, "count", "atom_count", "seed")
     if args.target == "conjecture2":
         if n_min is not None and n_min < 2:
             parser.error("conjecture2 sections start at n = 2")
-        kwargs.update(_library_kwargs(args, "count", "atom_count", "seed"))
-        report = conjecture2_scan(**kwargs)
+        report = conjecture2_scan(**kwargs, **sampling)
         found = bool(report.parameters["counterexample_found"])
     else:
         if n_min is not None and n_min < 5:
             parser.error("the classical threshold is stated for n >= 5")
+        if sampling:
+            parser.error("--count, --atom-count and --seed need --target conjecture2")
         report = classical_radius_scan(**kwargs)
         found = not report.passed
     _emit(_report_payload(report), args.out)
@@ -280,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--function",
         required=True,
-        choices=["f0", "koebe", "half-plane", "spec-file"],
+        choices=list(_FUNCTIONS),
         help="which function to truncate",
     )
     p.add_argument("--section", type=int, required=True, help="section order n")
@@ -304,12 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("plot", help="render image-of-disc curves as SVG")
-    p.add_argument(
-        "--map",
-        default="cube-kernel",
-        choices=["cube-kernel"],
-        help="which map's disc images to draw",
-    )
     p.add_argument(
         "--r",
         default="0.3333333333333333,0.5,0.75,0.8",

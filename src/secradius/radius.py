@@ -375,10 +375,6 @@ def count_zeros(
     if not 0.0 < r < 1.0:
         raise DomainError(f"radius must lie in (0, 1), got {r}")
     coeffs = s.coeffs
-    if coeffs.size == 1:
-        if abs(coeffs[0]) < _BOUNDARY_TOL:
-            raise ZeroOnCircleError("constant term below tolerance; series is ~0")
-        return 0
     zds = coeffs * np.arange(coeffs.size)  # z s'(z)
 
     def level(m: int, phase: float) -> complex:
@@ -430,12 +426,13 @@ def criterion_radius(
     has no zeros inside the disc.  :func:`_guard_bound` gives a certified
     lower bound ``rho`` on the guard's root moduli, so on [0, rho) the guard
     is zero-free by construction, the field is harmonic on the disc and m is
-    non-increasing.  So :func:`_bracket_root` searches [0, min(rho, cap)] on
-    m alone; the end ``rho`` counts as failing without a probe, because the
-    field at a guard zero can look positive, and a cap below ``rho`` is
-    probed first.  Local univalence, whose m stays positive up to the
-    guard's first zero, ends within ``tol`` of ``rho``.  When the bound is 0
-    (coincident root approximations) the radius is 0.0 with no witness.
+    non-increasing.  So one :func:`_bracket_root` call searches
+    [0, min(rho, cap)] on m alone, ``rho`` failing unprobed because the field
+    at a guard zero can look positive; a cap below ``rho`` is probed first,
+    and passing there clamps.  Local univalence, whose m stays positive up
+    to the guard's first zero, ends within ``tol`` of ``rho``.  A bound of 0
+    (coincident root approximations) leaves the empty bracket [0, 0]: radius
+    0.0, no witness, no probe.
 
     Any numeric failure (pole proximity) counts as a failed probe, so the
     result errs small, by at most ``tol``, provided ``grid_size`` resolves
@@ -451,8 +448,6 @@ def criterion_radius(
         raise ValidationError(f"tolerance must be at least 1e-12, got {tol}")
     den = _field_parts(s, criterion)[1]
     rho = math.inf if den is None else _guard_bound(den)
-    if rho == 0.0:
-        return RadiusResult(0.0, None, 0, tol, clamped=False)
 
     def value(r: float) -> tuple[float, BoundaryScan | None]:
         try:
@@ -461,16 +456,13 @@ def criterion_radius(
             return -math.inf, None
         return scan.min_value, scan
 
+    f_cap = -math.inf
     if rho > RADIUS_CAP:
-        f_cap, witness = value(RADIUS_CAP)
-        r, iterations = RADIUS_CAP, 1
-        if f_cap <= 0.0:
-            r, witness, probes = _bracket_root(value, RADIUS_CAP, f_cap, tol)
-            iterations += probes
-    else:
-        r, witness, iterations = _bracket_root(value, rho, -math.inf, tol)
-    clamped = r == RADIUS_CAP
-    return RadiusResult(1.0 if clamped else r, witness, iterations, tol, clamped=clamped)
+        f_cap, scan = value(RADIUS_CAP)
+        if f_cap > 0.0:
+            return RadiusResult(1.0, scan, 1, tol, clamped=True)
+    r, witness, probes = _bracket_root(value, min(rho, RADIUS_CAP), f_cap, tol)
+    return RadiusResult(r, witness, probes + (rho > RADIUS_CAP), tol, clamped=False)
 
 
 def _guard_bound(coeffs: np.ndarray) -> float:
@@ -534,11 +526,12 @@ def _bracket_root(
     zero, so the secant through f(0) = 1 lands near 0), and whenever a
     secant step that fails to shrink the bracket would leave too few probes
     to finish by bisection; so a solve never takes more than
-    ceil(log2(hi / tol)) + 4 probes.  Stops when hi - lo <= tol and returns
-    (lo, the data of the probe at lo or None when lo = 0, probes made).
+    ceil(log2(max(hi, tol) / tol)) + 4 probes, and none when hi = 0.  Stops
+    when hi - lo <= tol and returns (lo, the data of the probe at lo or None
+    when lo = 0, probes made).
     """
     lo, f_lo, data = 0.0, 1.0, None
-    budget = max(0, math.ceil(math.log2(hi / tol))) + 4
+    budget = math.ceil(math.log2(max(hi, tol) / tol)) + 4
     probes = 0
     passed_last: bool | None = None
     while hi - lo > tol:

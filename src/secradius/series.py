@@ -126,11 +126,7 @@ def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 
 def subtract(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Coefficientwise difference; the shorter operand is zero-padded."""
-    n = max(a.order, b.order)
-    c = np.zeros(n + 1, dtype=np.complex128)
-    c[: a.order + 1] = a.coeffs
-    c[: b.order + 1] -= b.coeffs
-    return TruncatedSeries(c)
+    return add(a, TruncatedSeries(-b.coeffs))
 
 
 def divide(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -293,22 +294,32 @@ def sharpness_witnesses(tol: float = 1e-9) -> list[VerificationItem]:
     return items
 
 
-def _sample_entries(
-    count: int, atom_count: int, seed: int
-) -> list[tuple[object, HerglotzSpec]]:
-    """Sampled specs labelled by their recorded seeds, with f0 injected first.
+def _sweep_minimum(
+    count: int, atom_count: int, seed: int, n_min: int, n_max: int, measure: Callable
+) -> tuple[tuple[float, object, int, float], tuple[float, float] | None]:
+    """First smallest ``measure`` over sections n_min..n_max of sampled members.
 
     The extremal f0 (single Herglotz atom at x = 1) is the worst case of
-    every suite here, so it always participates deterministically.
+    every suite here, so it comes first, then the specs labelled by their
+    recorded seeds; each member is synthesized once.  ``measure(s_n)``
+    gives (value, theta).  Returns ((value, label, n, theta), f0_n2), where
+    f0_n2 is f0's (value, theta) at n = 2, None when n_min > 2.
     """
     if count < 1:
         raise ValidationError(f"sample count must be >= 1, got {count}")
-    entries: list[tuple[object, HerglotzSpec]] = [
-        ("f0", HerglotzSpec.from_atoms([(1.0, 1.0 + 0.0j)]))
-    ]
-    for spec in sample_specs(count, atom_count, seed):
-        entries.append((spec.seed, spec))
-    return entries
+    members = [("f0", HerglotzSpec.from_atoms([(1.0, 1.0 + 0.0j)]))]
+    members += [(spec.seed, spec) for spec in sample_specs(count, atom_count, seed)]
+    best: tuple[float, object, int, float] = (math.inf, None, 0, 0.0)
+    f0_n2 = None
+    for label, spec in members:
+        f = synthesize_F(spec, order=n_max)
+        for n in range(n_min, n_max + 1):
+            value, theta = measure(section(f, n))
+            if value < best[0]:
+                best = (value, label, n, theta)
+            if label == "f0" and n == 2:
+                f0_n2 = (value, theta)
+    return best, f0_n2
 
 
 def theorem1_suite(
@@ -325,24 +336,15 @@ def theorem1_suite(
     """
     if n_max < 2:
         raise ValidationError(f"n_max must be >= 2, got {n_max}")
-    entries = _sample_entries(count, atom_count, seed)
     r = THEOREM1_RADIUS
-    best_margin = math.inf
-    best_label: object = None
-    best_n = 0
-    best_theta = 0.0
-    f0_margin = math.inf
-    f0_theta = 0.0
-    for label, spec in entries:
-        f = synthesize_F(spec, order=n_max)
-        for n in range(2, n_max + 1):
-            scan = boundary_min(section(f, n), Criterion.RE_DERIV, r, _GRID)
-            if scan.min_value < best_margin:
-                best_margin = scan.min_value
-                best_label, best_n, best_theta = label, n, scan.argmin_theta
-            if label == "f0" and n == 2:
-                f0_margin = scan.min_value
-                f0_theta = scan.argmin_theta
+
+    def margin(s: TruncatedSeries) -> tuple[float, float]:
+        scan = boundary_min(s, Criterion.RE_DERIV, r, _GRID)
+        return scan.min_value, scan.argmin_theta
+
+    (best_margin, best_label, best_n, best_theta), (f0_margin, f0_theta) = (
+        _sweep_minimum(count, atom_count, seed, 2, n_max, margin)
+    )
     items = (
         make_item(
             "theorem1_min_margin", best_margin, witness=(r, best_theta)
@@ -398,24 +400,14 @@ def conjecture2_scan(
         raise ValidationError(f"sections start at n = 2, got {n_min}")
     if n_max < n_min:
         raise ValidationError(f"empty section range [{n_min}, {n_max}]")
-    entries = _sample_entries(count, atom_count, seed)
-    best_radius = 2.0
-    best_label: object = None
-    best_n = 0
-    best_theta = 0.0
-    f0_n2 = 2.0
-    f0_n2_theta = 0.0
-    for label, spec in entries:
-        f = synthesize_F(spec, order=n_max)
-        for n in range(n_min, n_max + 1):
-            res = criterion_radius(section(f, n), Criterion.STARLIKENESS, tol, grid)
-            theta = res.witness.argmin_theta if res.witness is not None else 0.0
-            if res.radius < best_radius:
-                best_radius = res.radius
-                best_label, best_n, best_theta = label, n, theta
-            if label == "f0" and n == 2:
-                f0_n2 = res.radius
-                f0_n2_theta = theta
+
+    def starlike(s: TruncatedSeries) -> tuple[float, float]:
+        res = criterion_radius(s, Criterion.STARLIKENESS, tol, grid)
+        return res.radius, res.witness.argmin_theta if res.witness is not None else 0.0
+
+    (best_radius, best_label, best_n, best_theta), f0_n2 = _sweep_minimum(
+        count, atom_count, seed, n_min, n_max, starlike
+    )
     found = best_radius < CONJECTURE2_THRESHOLD
     items = [
         make_item(
@@ -424,10 +416,8 @@ def conjecture2_scan(
             witness=(best_radius, best_theta),
         ),
     ]
-    if n_min <= 2:
-        items.append(
-            make_item("conjecture2_f0_n2_radius", f0_n2, witness=(f0_n2, f0_n2_theta))
-        )
+    if f0_n2 is not None:
+        items.append(make_item("conjecture2_f0_n2_radius", f0_n2[0], witness=f0_n2))
     parameters = {
         "count": count,
         "atom_count": atom_count,
@@ -498,15 +488,13 @@ def figure1_curves(r: float, samples: int = 2048) -> np.ndarray:
     return (1.0 + r * np.exp(1j * thetas)) ** 3 / (1.0 - r * r) ** 3
 
 
-def full_suite(
-    count: int = 200,
-    atom_count: int = 3,
-    n_max: int = 20,
-    seed: int = 7,
-    tol: float = 1e-9,
-) -> VerificationReport:
-    """Everything the verify command runs, merged into a single report."""
-    t1 = theorem1_suite(count, atom_count, n_max, seed)
+def full_suite(tol: float = 1e-9, **suite) -> VerificationReport:
+    """Everything the verify command runs, merged into a single report.
+
+    ``suite`` goes to :func:`theorem1_suite` as given, and the report takes
+    that suite's seed; ``tol`` is the radius tolerance of the sharpness items.
+    """
+    t1 = theorem1_suite(**suite)
     items: list[VerificationItem] = [
         min_g(),
         min_T(),
@@ -517,4 +505,4 @@ def full_suite(
     items.extend(t1.items)
     parameters = dict(t1.parameters)
     parameters["tol"] = tol
-    return VerificationReport(tuple(items), seed, parameters, GENERATOR_NAME)
+    return VerificationReport(tuple(items), t1.seed, parameters, GENERATOR_NAME)

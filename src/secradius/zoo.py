@@ -147,7 +147,7 @@ def synthesize_F(spec: HerglotzSpec, order: int = 64) -> TruncatedSeries:
     unity with equal weights reproduce the identity (p = 1 up to truncation).
     """
     n = _check_order(order)
-    p = p_coeffs(spec, n - 1) if n > 1 else p_coeffs(spec, 0)
+    p = p_coeffs(spec, n - 1)
     c = np.zeros(n, dtype=np.complex128)
     c[0] = 1.0
     for m in range(1, n):
@@ -180,19 +180,16 @@ def roots_of_unity_spec(k: int) -> HerglotzSpec:
     return HerglotzSpec(np.full(k, 1.0 / k), x)
 
 
-def _spec_from_rng(rng: np.random.Generator, atom_count: int, seed: int) -> HerglotzSpec:
+def spec_from_seed(seed: int, atom_count: int) -> HerglotzSpec:
+    """Regenerate a single sampled spec from its recorded seed (own PCG64 stream)."""
+    if atom_count < 1:
+        raise DomainError("atom_count must be >= 1")
+    rng = np.random.default_rng(seed)
     u = rng.random(atom_count)
     while np.any(u == 0.0):  # zero weight has probability ~2^-53; keep (0,1]
         u = rng.random(atom_count)
     angles = 2.0 * np.pi * rng.random(atom_count)
-    return HerglotzSpec(u / u.sum(), np.exp(1j * angles), seed)
-
-
-def spec_from_seed(seed: int, atom_count: int) -> HerglotzSpec:
-    """Regenerate a single sampled spec from its recorded seed."""
-    if atom_count < 1:
-        raise DomainError("atom_count must be >= 1")
-    return _spec_from_rng(np.random.default_rng(seed), atom_count, int(seed))
+    return HerglotzSpec(u / u.sum(), np.exp(1j * angles), int(seed))
 
 
 def sample_specs(count: int, atom_count: int, rng_seed: int) -> list[HerglotzSpec]:

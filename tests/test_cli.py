@@ -3,6 +3,7 @@
 import json
 import re
 from datetime import datetime
+from pathlib import Path
 
 import pytest
 
@@ -10,11 +11,12 @@ import secradius.cli as cli
 from secradius.cli import build_parser, main
 from secradius.radius import Criterion, criterion_radius
 from secradius.series import section
-from secradius.verify import VerificationReport, full_suite, make_item
+from secradius.verify import VerificationReport, full_suite, make_item, min_re_cube_kernel
 from secradius.zoo import f0, koebe, spec_from_seed, synthesize_F
 
 REPORT_KEYS = ["schema_version", "seed", "generator_name", "parameters", "items", "generated_at"]
 ITEM_KEYS = ["name", "expected", "computed", "tolerance", "pass", "witness"]
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _run_json(capsys, argv):
@@ -366,6 +368,35 @@ def test_scan_usage_errors():
     with pytest.raises(SystemExit) as err:
         main(["scan", "--target", "conjecture2", "--tol", "0"])
     assert err.value.code == 2
+    # the classical scan samples no specs, so the sampling flags cannot apply
+    for flag in (["--count", "9"], ["--atom-count", "2"], ["--seed", "3"]):
+        with pytest.raises(SystemExit) as err:
+            main(["scan", "--target", "classical", "--sections", "5..5", *flag])
+        assert err.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# README examples
+# ---------------------------------------------------------------------------
+
+
+def test_readme_radius_example_matches_cli(capsys):
+    """The line under README's radius example is what the command prints."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    command = "secradius radius --function f0 --section 2 --criterion re-deriv"
+    shown = lines[lines.index(command) + 1]
+    assert shown.startswith("# ")
+    code, payload = _run_json(capsys, command.split()[1:])
+    assert code == 0
+    assert payload == json.loads(shown[2:])
+
+
+def test_readme_report_schema_item_matches_library():
+    """README's report-schema example shows the cube-kernel item as reported."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("### Report schema (version 1)")[1].split("```json\n")[1]
+    example = json.loads(block.split("```")[0])
+    assert example["items"] == [cli._item_payload(min_re_cube_kernel(1.0 / 3.0))]
 
 
 # ---------------------------------------------------------------------------

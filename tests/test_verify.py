@@ -8,7 +8,7 @@ import pytest
 import secradius.verify as verify
 from secradius.bounds import k_tail
 from secradius.exceptions import CrossCheckError, DomainError, ValidationError
-from secradius.radius import Criterion, boundary_min
+from secradius.radius import Criterion, boundary_min, criterion_radius
 from secradius.series import section
 from secradius.verify import (
     CONJECTURE2_THRESHOLD,
@@ -28,7 +28,15 @@ from secradius.verify import (
     sharpness_witnesses,
     theorem1_suite,
 )
-from secradius.zoo import GENERATOR_NAME, f0, koebe, roots_of_unity_spec, synthesize_F
+from secradius.zoo import (
+    GENERATOR_NAME,
+    HerglotzSpec,
+    f0,
+    koebe,
+    roots_of_unity_spec,
+    sample_specs,
+    synthesize_F,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +249,84 @@ def test_theorem1_suite_validation():
         theorem1_suite(count=1, n_max=1)
 
 
+def _direct_sweep(count, atom_count, seed, n_min, n_max, measure):
+    """(value, label, n, theta, coeffs) of f0 and then every sampled member
+    at each order n_min..n_max, in that order: the brute-force oracle of the
+    suites' sweep."""
+    members = [("f0", HerglotzSpec.from_atoms([(1.0, 1.0 + 0.0j)]))]
+    members += [(spec.seed, spec) for spec in sample_specs(count, atom_count, seed)]
+    rows = []
+    for label, spec in members:
+        f = synthesize_F(spec, order=n_max)
+        for n in range(n_min, n_max + 1):
+            s = section(f, n)
+            value, theta = measure(s)
+            rows.append((value, label, n, theta, s.coeffs.tolist()))
+    return rows
+
+
+def _spy(monkeypatch, name):
+    """Record the coefficients of every series ``verify.<name>`` is given."""
+    seen = []
+    real = getattr(verify, name)
+
+    def spy(s, *args):
+        seen.append(s.coeffs.tolist())
+        return real(s, *args)
+
+    monkeypatch.setattr(verify, name, spy)
+    return seen
+
+
+def test_theorem1_suite_matches_brute_force_sweep(monkeypatch):
+    """The suite scans f0 and every sampled member at every order, and
+    reports the first smallest margin of a direct loop over them."""
+    seen = _spy(monkeypatch, "boundary_min")
+    report = theorem1_suite(count=3, atom_count=2, n_max=5, seed=4)
+    monkeypatch.undo()
+
+    def margin(s):
+        scan = boundary_min(s, Criterion.RE_DERIV, THEOREM1_RADIUS, verify._GRID)
+        return scan.min_value, scan.argmin_theta
+
+    rows = _direct_sweep(3, 2, 4, 2, 5, margin)
+    assert seen == [row[4] for row in rows]
+    value, label, n, theta, _c = min(rows, key=lambda row: row[0])
+    params = report.parameters
+    assert report.items[0].computed == value
+    assert report.items[0].witness == (THEOREM1_RADIUS, theta)
+    assert (params["min_margin_spec"], params["min_margin_n"]) == (label, n)
+    assert params["min_margin_theta"] == theta
+    f0_value, f0_label, f0_n, f0_theta, _c = rows[0]
+    assert (f0_label, f0_n) == ("f0", 2)
+    assert report.items[2].computed == f0_value
+    assert report.items[2].witness == (THEOREM1_RADIUS, f0_theta)
+
+
+def test_conjecture2_scan_matches_brute_force_sweep(monkeypatch):
+    """The scan solves f0 and every sampled member at every order, and
+    reports the first smallest starlike radius of a direct loop over them."""
+    seen = _spy(monkeypatch, "criterion_radius")
+    report = conjecture2_scan(count=2, n_max=4, grid=256)
+    monkeypatch.undo()
+
+    def starlike(s):
+        res = criterion_radius(s, Criterion.STARLIKENESS, 1e-7, 256)
+        return res.radius, res.witness.argmin_theta
+
+    rows = _direct_sweep(2, 3, 11, 2, 4, starlike)
+    assert seen == [row[4] for row in rows]
+    value, label, n, theta, _c = min(rows, key=lambda row: row[0])
+    params = report.parameters
+    assert report.items[0].computed == value
+    assert report.items[0].witness == (value, theta)
+    assert (params["min_radius_spec"], params["min_radius_n"]) == (label, n)
+    assert params["min_radius_theta"] == theta
+    f0_value, f0_label, f0_n, f0_theta, _c = rows[0]
+    assert (f0_label, f0_n) == ("f0", 2)
+    assert report.items[1].witness == (f0_value, f0_theta)
+
+
 # ---------------------------------------------------------------------------
 # Conjecture scan
 # ---------------------------------------------------------------------------
@@ -379,3 +465,19 @@ def test_full_suite_structure():
     assert report.parameters["tol"] == 1e-9
     assert report.parameters["count"] == 4
     assert report.generator_name == GENERATOR_NAME
+
+
+def test_full_suite_forwards_only_the_given_suite_keywords(monkeypatch):
+    """full_suite restates none of theorem1_suite's defaults: it passes on
+    exactly the keywords it was given, and reports the suite's own seed."""
+    calls = []
+    real = verify.theorem1_suite
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(count=1, atom_count=2, n_max=2, seed=5)
+
+    monkeypatch.setattr(verify, "theorem1_suite", spy)
+    assert full_suite().seed == 5
+    assert full_suite(count=2).seed == 5
+    assert calls == [((), {}), ((), {"count": 2})]
