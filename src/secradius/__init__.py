@@ -11,7 +11,7 @@ sections, and randomized scans of the still-open starlikeness question.
 Layers: ``series`` (truncated power series arithmetic), ``zoo`` (named
 functions and Herglotz-sampled members of F), ``bounds`` (closed-form
 coefficient/derivative/tail estimates), ``radius`` (boundary scans,
-argument-principle zero counting, radius solves), ``verify`` (named
+certified zero counting, radius solves), ``verify`` (named
 constants and randomized suites), ``cli`` (the ``secradius`` command).
 """
 

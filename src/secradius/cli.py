@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from datetime import datetime, timezone
@@ -349,8 +350,8 @@ _FLAG_MINIMA = {
 def _validate_common(args, parser: argparse.ArgumentParser) -> None:
     for flag, least in _FLAG_MINIMA.items():
         value = getattr(args, flag, None)
-        if value is not None and value < least:
-            parser.error(f"--{flag.replace('_', '-')} must be at least {least}")
+        if value is not None and not least <= value < math.inf:
+            parser.error(f"--{flag.replace('_', '-')} must be finite and at least {least}")
 
 
 def main(argv=None) -> int:

@@ -7,7 +7,6 @@ __all__ = [
     "OrderError",
     "PoleProximityError",
     "ZeroOnCircleError",
-    "WindingError",
     "CrossCheckError",
 ]
 
@@ -40,11 +39,7 @@ class PoleProximityError(SecradiusError, ArithmeticError):
 
 
 class ZeroOnCircleError(SecradiusError, ArithmeticError):
-    """A zero of the function sits (numerically) on the integration circle."""
-
-
-class WindingError(SecradiusError, ArithmeticError):
-    """The winding-number quadrature failed to settle on an integer."""
+    """A zero of the function cannot be placed on either side of a circle."""
 
 
 class CrossCheckError(SecradiusError, ArithmeticError):

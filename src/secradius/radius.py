@@ -33,11 +33,11 @@ changes sign, inside the bracket [0, rho): rho is a certified lower bound on
 the root moduli of the denominator (the *guard*), below which no pole of the
 field enters the disc and a positive boundary minimum proves the criterion.
 It comes from Gerschgorin discs around the ``np.roots`` approximations to
-the guard's zeros, so it holds however far those approximations are off.
-On that bracket the minimum is non-increasing in r, so a safeguarded regula
-falsi on the boundary scans alone finds the radius; no zero count is
-needed.  :func:`count_zeros`, an argument-principle quadrature on the same
-FFT evaluator, stays as an independent check.
+the guard's zeros (:func:`_root_discs`), so it holds however far those
+approximations are off.  On that bracket the minimum is non-increasing in
+r, so a safeguarded regula falsi on the boundary scans alone finds the
+radius; no zero count is needed.  :func:`count_zeros` counts the zeros
+inside a circle on the same discs, exactly unless a disc meets the circle.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from .exceptions import (
     DomainError,
     PoleProximityError,
     ValidationError,
-    WindingError,
     ZeroOnCircleError,
 )
 from .series import TruncatedSeries, is_normalized
@@ -78,8 +77,6 @@ _POLE_TOL = 1e-300
 _UNIT_ROUNDOFF = 2.0**-53
 _GOLDEN_XTOL = 1e-12  # bracket width at which golden_section_min stops
 _THETA_TOL = 1e-12  # Newton step at which _circle_min stops
-_BOUNDARY_TOL = 1e-9  # count_zeros: |s| below this puts a zero on the contour
-_RESIDUAL_TOL = 1e-3  # count_zeros: winding mean's allowed distance from an integer
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _TWO_PI = 2.0 * math.pi
 
@@ -258,14 +255,14 @@ def _point_jet(parts: tuple) -> Callable[[complex], tuple[float, float, float]]:
     return quotient
 
 
-def _circle_values(coeffs: np.ndarray, w: complex, grid: int) -> np.ndarray:
-    """Values of the polynomial with ``coeffs`` at w times the grid-th roots of unity.
+def _circle_values(coeffs: np.ndarray, r: float, grid: int) -> np.ndarray:
+    """Values of the polynomial with ``coeffs`` at r times the grid-th roots of unity.
 
     One inverse FFT.  Powers m and m + grid meet the same roots, so a longer
     coefficient array is folded modulo ``grid`` first; ``ifft(n=grid)``
     alone would truncate it.
     """
-    scaled = coeffs * w ** np.arange(coeffs.size)
+    scaled = coeffs * r ** np.arange(coeffs.size)
     if scaled.size > grid:
         scaled = np.pad(scaled, (0, -scaled.size % grid)).reshape(-1, grid).sum(axis=0)
     return np.fft.ifft(scaled, n=grid, norm="forward")
@@ -353,64 +350,32 @@ def boundary_min(
     return BoundaryScan(r=r, grid_size=grid_size, min_value=value, argmin_theta=theta)
 
 
-def count_zeros(
-    s: TruncatedSeries, r: float, start: int = 4096, limit: int = 1 << 20
-) -> int:
-    """Number of zeros of ``s`` in |z| < r by argument-principle quadrature.
+def count_zeros(s: TruncatedSeries, r: float) -> int:
+    """Number of zeros of ``s`` in |z| < r, counted on certified root discs.
 
-    The winding number (1/(2 pi i)) * integral of s'/s along the circle
-    reduces to the mean of z s'(z)/s(z) over uniformly spaced sample points.
-    The sample count doubles from ``start`` (reusing earlier evaluations)
-    until the mean lands within ``_RESIDUAL_TOL`` = 1e-3 of the same
-    integer, with imaginary part below ``_RESIDUAL_TOL``, on two consecutive
-    refinement levels.  A short level can alias to a wrong integer; the
-    tight tolerance makes two consecutive levels agree to within 2e-3 before
-    a count is trusted, which an aliased level does not do.
+    Zero coefficients of the highest powers are dropped, and k zero
+    coefficients of the lowest powers count as k zeros at the origin.
+    :func:`_root_discs` encloses the zeros of what remains.  When no disc
+    meets the circle |z| = r, each connected component of their union lies
+    wholly inside or wholly outside the circle, and by Gerschgorin's second
+    theorem holds as many zeros as discs; so the count, the origin's zeros
+    plus the discs inside, is exact.
 
-    Raises :class:`ZeroOnCircleError` when |s| dips below ``_BOUNDARY_TOL``
-    = 1e-9 at a sample point -- a zero too close to the contour for the
-    quadrature to be trusted -- and :class:`WindingError` if agreement is
-    not reached within ``limit`` points.
+    Raises :class:`ZeroOnCircleError` when ``s`` is identically 0, or when
+    a disc meets the circle or is not finite (coincident root
+    approximations): the discs then cannot place a zero on either side.
     """
     if not 0.0 < r < 1.0:
         raise DomainError(f"radius must lie in (0, 1), got {r}")
-    coeffs = s.coeffs
-    zds = coeffs * np.arange(coeffs.size)  # z s'(z)
-
-    def level(m: int, phase: float) -> complex:
-        # sum of z s'/s over the m points r e^{i (phase + 2 pi k / m)}
-        w = cmath.rect(r, phase)
-        sv = _circle_values(coeffs, w, m)
-        small = int(np.argmin(np.abs(sv)))
-        if abs(sv[small]) < _BOUNDARY_TOL:
-            raise ZeroOnCircleError(
-                f"|s| = {abs(sv[small]):.3e} at theta = "
-                f"{phase + small * _TWO_PI / m:.12f} "
-                f"on |z| = {r}; zero too close to the circle"
-            )
-        return complex(np.sum(_circle_values(zds, w, m) / sv))
-
-    m = start
-    total = level(m, 0.0)
-    prev: int | None = None
-    while True:
-        w = total / m
-        if abs(w.imag) < _RESIDUAL_TOL and abs(w.real - round(w.real)) < _RESIDUAL_TOL:
-            k = round(w.real)
-            if prev == k:
-                if k < 0:
-                    raise WindingError(f"negative winding {k} from {m} points")
-                return k
-            prev = k
-        else:
-            prev = None
-        if 2 * m > limit:
-            raise WindingError(
-                f"winding mean {w!r} not settled within {m} quadrature points"
-            )
-        # the next level's points sit halfway between the current ones
-        total += level(m, math.pi / m)
-        m *= 2
+    c = np.trim_zeros(s.coeffs, "b")
+    if c.size == 0:
+        raise ZeroOnCircleError("the series is identically 0")
+    origin = c.size - np.trim_zeros(c, "f").size
+    low, high = _root_discs(c[origin:])
+    # a NaN or infinite disc passes neither comparison
+    if not np.all((r < low) | (high < r)):
+        raise ZeroOnCircleError(f"a root disc meets |z| = {r} or is not finite")
+    return origin + int(np.count_nonzero(high < r))
 
 
 def criterion_radius(
@@ -444,8 +409,8 @@ def criterion_radius(
     criterion = Criterion(criterion)
     if not is_normalized(s, tol=1e-9):
         raise ValidationError("criterion_radius requires a normalized series")
-    if tol < 1e-12:
-        raise ValidationError(f"tolerance must be at least 1e-12, got {tol}")
+    if not 1e-12 <= tol < math.inf:
+        raise ValidationError(f"tolerance must be finite and at least 1e-12, got {tol}")
     den = _field_parts(s, criterion)[1]
     rho = math.inf if den is None else _guard_bound(den)
 
@@ -468,15 +433,28 @@ def criterion_radius(
 def _guard_bound(coeffs: np.ndarray) -> float:
     """Certified lower bound on the root moduli of the polynomial with ``coeffs``.
 
-    Trailing zero coefficients are trimmed first, as ``np.roots`` drops
-    them; that leaves degree d and leading coefficient c_d, and a constant
-    (d = 0) gives inf.  Let a_i be the ``np.roots`` approximations to the d
-    zeros and w_i = p(a_i) / (c_d prod_{j != i} (a_i - a_j)).  Lagrange
-    interpolation at the a_i gives p(z) = c_d det(z I - M) with
-    M = diag(a) - w 1^T, so by Gerschgorin's theorem every zero of p lies in
-    a disc |z - (a_i - w_i)| <= (d - 1)|w_i| (B. T. Smith, J. ACM 17, 1970),
-    and every zero has modulus at least min_i |a_i - w_i| - (d - 1)|w_i|,
-    however far the a_i are off.
+    The least modulus over the discs of :func:`_root_discs`, which hold
+    every zero however far the ``np.roots`` approximations are off; inf for
+    a constant, and 0.0 when that least modulus is not positive, or not a
+    number (coincident approximations).
+    """
+    low = float(np.min(_root_discs(coeffs)[0], initial=math.inf))
+    return low if low > 0.0 else 0.0
+
+
+def _root_discs(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least and greatest modulus on each of the discs that hold the zeros.
+
+    Zero coefficients of the highest powers are trimmed first, as
+    ``np.roots`` drops them; that leaves degree d and leading coefficient
+    c_d, and a constant (d = 0) has no discs.  Let a_i be the ``np.roots``
+    approximations to the d zeros and
+    w_i = p(a_i) / (c_d prod_{j != i} (a_i - a_j)).  Lagrange interpolation
+    at the a_i gives p(z) = c_d det(z I - M) with M = diag(a) - w 1^T, so by
+    Gerschgorin's theorem every zero of p lies in a disc
+    |z - (a_i - w_i)| <= (d - 1)|w_i| (B. T. Smith, J. ACM 17, 1970),
+    however far the a_i are off, and a connected component of k discs holds
+    k zeros.
 
     Rounding.  ``np.polyval`` is Horner's rule: each of its d steps makes
     one complex product (relative error at most sqrt(2) gamma_2) and one
@@ -486,18 +464,18 @@ def _guard_bound(coeffs: np.ndarray) -> float:
     Algorithms*, Lemma 3.5 and section 5.1).  The product and the quotient
     that form w_i add relative error below gamma_{4d+4}.  gamma = 8(d + 1) u
     is about twice both, which leaves room for the second-order terms and
-    for the rounding of the bound's own few operations.  So
+    for the rounding of the discs' own few operations.  So
     E_i = gamma (sum_k |c_k| |a_i|^k / |c_d prod (a_i - a_j)| + |w_i|
-    + |a_i - w_i|) exceeds the error of the computed w_i, its last term
-    covers the rounding of the disc's own arithmetic, and the bound is
-    min_i |a_i - w_i| - (d - 1)|w_i| - d E_i with computed w_i.  Returns
-    0.0 when that is not positive, or not a number (coincident
-    approximations make w_i infinite).
+    + |a_i - w_i|) exceeds the error of the computed w_i, and its last term
+    covers the rounding of the disc arithmetic.  With computed w_i the
+    returned moduli are |a_i - w_i| - (d - 1)|w_i| - d E_i and
+    |a_i - w_i| + (d - 1)|w_i| + d E_i; coincident approximations make w_i
+    infinite and the moduli not numbers.
     """
     p = np.trim_zeros(coeffs, "b")[::-1]
     d = p.size - 1
     if d < 1:
-        return math.inf
+        return np.empty(0), np.empty(0)
     a = np.roots(p)
     gaps = a[:, None] - a
     np.fill_diagonal(gaps, 1.0)
@@ -507,8 +485,9 @@ def _guard_bound(coeffs: np.ndarray) -> float:
         w = np.polyval(p, a) / scale
         centre = np.abs(a - w)
         err = gamma * (np.polyval(np.abs(p), np.abs(a)) / np.abs(scale) + np.abs(w) + centre)
-        low = float(np.min(centre - (d - 1) * np.abs(w) - d * err))
-    return low if low > 0.0 else 0.0
+        low = centre - (d - 1) * np.abs(w) - d * err
+        high = centre + (d - 1) * np.abs(w) + d * err
+    return low, high
 
 
 def _bracket_root(

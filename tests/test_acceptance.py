@@ -226,7 +226,7 @@ def test_criterion_10_zero_count_oracle(capfd):
     ok = checked >= 190 and agreed == checked
     _announce(
         capfd, 10, ok,
-        f"winding count agreed with direct roots on {agreed}/{checked} polynomials",
+        f"zero count agreed with direct roots on {agreed}/{checked} polynomials",
     )
 
 

@@ -105,9 +105,10 @@ def test_verify_usage_errors():
     with pytest.raises(SystemExit) as err:
         main(["verify", "--n-max", "1"])
     assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        main(["verify", "--tol", "1e-15"])
-    assert err.value.code == 2
+    for tol in ("1e-15", "nan", "inf"):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--tol", tol])
+        assert err.value.code == 2
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +167,11 @@ def test_radius_usage_errors():
     with pytest.raises(SystemExit) as err:
         main(["radius", "--function", "f0", "--section", "2", "--criterion", "bogus"])
     assert err.value.code == 2
+    for tol in ("nan", "inf"):
+        with pytest.raises(SystemExit) as err:
+            main(["radius", "--function", "f0", "--section", "2",
+                  "--criterion", "starlike", "--tol", tol])
+        assert err.value.code == 2
 
 
 def test_radius_runtime_errors(tmp_path, capsys):
@@ -365,9 +371,10 @@ def test_scan_usage_errors():
     with pytest.raises(SystemExit) as err:
         main(["scan", "--target", "classical", "--grid", "8"])
     assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        main(["scan", "--target", "conjecture2", "--tol", "0"])
-    assert err.value.code == 2
+    for tol in ("0", "nan", "inf"):
+        with pytest.raises(SystemExit) as err:
+            main(["scan", "--target", "conjecture2", "--tol", tol])
+        assert err.value.code == 2
     # the classical scan samples no specs, so the sampling flags cannot apply
     for flag in (["--count", "9"], ["--atom-count", "2"], ["--seed", "3"]):
         with pytest.raises(SystemExit) as err:
