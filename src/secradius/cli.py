@@ -47,8 +47,35 @@ _SVG_MARGIN_FRAC = 0.05  # blank margin on each side, as a share of the viewport
 _FUNCTIONS = {"f0": f0, "koebe": koebe, "half-plane": half_plane, "spec-file": None}
 
 
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat()
+def _at_least(kind, least):
+    """Flag type: a ``kind`` value with ``least <= value < inf``."""
+
+    def number(text: str):  # the name shows in "invalid number value: ..."
+        value = kind(text)
+        if not least <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite and at least {least}, got {text!r}")
+        return value
+
+    return number
+
+
+def _section_range(text: str) -> tuple[int, int]:
+    """``--sections`` type: the inclusive range a..b as ``(a, b)``."""
+    match = _SECTIONS_RE.match(text)
+    if match is None:
+        raise argparse.ArgumentTypeError(f"expects the form a..b, got {text!r}")
+    lo, hi = int(match.group(1)), int(match.group(2))
+    if hi < lo:
+        raise argparse.ArgumentTypeError(f"range is empty: {text!r}")
+    return lo, hi
+
+
+def _radii(text: str) -> list[float]:
+    """``plot --r`` type: comma-separated radii, each in (0, 1)."""
+    radii = [float(chunk) for chunk in text.split(",")]
+    if not all(0.0 < r < 1.0 for r in radii):
+        raise argparse.ArgumentTypeError(f"each radius must lie in (0, 1), got {text!r}")
+    return radii
 
 
 def _item_payload(item) -> dict:
@@ -65,15 +92,21 @@ def _item_payload(item) -> dict:
     }
 
 
-def _report_payload(report: VerificationReport) -> dict:
+def _payload(seed, generator_name: str, parameters: dict, **body) -> dict:
+    """Schema-v1 document: the header, then ``body``, then the timestamp."""
     return {
         "schema_version": "1",
-        "seed": report.seed,
-        "generator_name": report.generator_name,
-        "parameters": report.parameters,
-        "items": [_item_payload(item) for item in report.items],
-        "generated_at": _timestamp(),
+        "seed": seed,
+        "generator_name": generator_name,
+        "parameters": parameters,
+        **body,
+        "generated_at": datetime.now(timezone.utc).isoformat(),
     }
+
+
+def _report_payload(report: VerificationReport) -> dict:
+    items = [_item_payload(item) for item in report.items]
+    return _payload(report.seed, report.generator_name, report.parameters, items=items)
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -85,27 +118,14 @@ def _emit(payload: dict, out: str | None) -> None:
         print(f"wrote {out}", file=sys.stderr)
 
 
-def _library_kwargs(args, *flags: str, **renamed: str) -> dict:
+def _library_kwargs(args, *keys: str) -> dict:
     """Library keyword arguments for the flags the user set.
 
-    Every flag that maps to a library keyword defaults to None, so an unset
-    flag leaves the library's own default in force.  ``flags`` name flags
-    whose keyword has the same name; ``renamed`` maps keyword to flag.
+    Every flag that maps to a library keyword stores under that keyword's
+    name and defaults to None, so an unset flag leaves the library's own
+    default in force.
     """
-    pairs = [(flag, flag) for flag in flags] + list(renamed.items())
-    return {
-        key: getattr(args, flag) for key, flag in pairs if getattr(args, flag) is not None
-    }
-
-
-def _parse_sections(parser: argparse.ArgumentParser, text: str) -> tuple[int, int]:
-    match = _SECTIONS_RE.match(text)
-    if match is None:
-        parser.error(f"--sections expects the form a..b, got {text!r}")
-    lo, hi = int(match.group(1)), int(match.group(2))
-    if hi < lo:
-        parser.error(f"--sections range is empty: {text!r}")
-    return lo, hi
+    return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
 
 
 def _load_spec_file(path: str, index: int) -> HerglotzSpec:
@@ -144,7 +164,7 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
 def _cmd_radius(args, parser: argparse.ArgumentParser) -> int:
     s = _section_series(args, parser)
     res = criterion_radius(
-        s, Criterion(args.criterion), **_library_kwargs(args, "tol", grid_size="grid")
+        s, Criterion(args.criterion), **_library_kwargs(args, "tol", "grid_size")
     )
     theta = res.witness.argmin_theta if res.witness is not None else None
     print(
@@ -154,23 +174,16 @@ def _cmd_radius(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_sample(args, parser: argparse.ArgumentParser) -> int:
-    specs = sample_specs(args.count, args.atom_count, args.seed)
-    payload = {
-        "schema_version": "1",
-        "seed": args.seed,
-        "generator_name": GENERATOR_NAME,
-        "parameters": {"count": args.count, "atom_count": args.atom_count},
-        "specs": [
-            {
-                "weights": [float(w) for w in spec.weights],
-                "points": [[float(p.real), float(p.imag)] for p in spec.points],
-                "seed": spec.seed,
-            }
-            for spec in specs
-        ],
-        "generated_at": _timestamp(),
-    }
-    _emit(payload, args.out)
+    specs = [
+        {
+            "weights": [float(w) for w in spec.weights],
+            "points": [[float(p.real), float(p.imag)] for p in spec.points],
+            "seed": spec.seed,
+        }
+        for spec in sample_specs(args.count, args.atom_count, args.seed)
+    ]
+    parameters = {"count": args.count, "atom_count": args.atom_count}
+    _emit(_payload(args.seed, GENERATOR_NAME, parameters, specs=specs), args.out)
     return 0
 
 
@@ -214,19 +227,10 @@ def _svg_document(points) -> str:
 
 
 def _cmd_plot(args, parser: argparse.ArgumentParser) -> int:
-    radii = []
-    for chunk in args.r.split(","):
-        try:
-            r = float(chunk)
-        except ValueError:
-            parser.error(f"--r expects comma-separated reals, got {chunk!r}")
-        if not 0.0 < r < 1.0:
-            parser.error(f"plot radius must lie in (0, 1), got {r}")
-        radii.append(r)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
-    for r in radii:
+    for r in args.r:
         curve = figure1_curves(r, **_library_kwargs(args, "samples"))
         path = outdir / f"cube_kernel_r{r!r}.svg"
         path.write_text(_svg_document(curve), encoding="utf-8")
@@ -239,7 +243,7 @@ def _cmd_plot(args, parser: argparse.ArgumentParser) -> int:
 def _cmd_scan(args, parser: argparse.ArgumentParser) -> int:
     kwargs = _library_kwargs(args, "grid", "tol")
     if args.sections is not None:
-        kwargs["n_min"], kwargs["n_max"] = _parse_sections(parser, args.sections)
+        kwargs["n_min"], kwargs["n_max"] = args.sections
     n_min = kwargs.get("n_min")
     sampling = _library_kwargs(args, "count", "atom_count", "seed")
     if args.target == "conjecture2":
@@ -271,11 +275,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("--out", help="report path (default: standard output)")
-    p.add_argument("--tol", type=float, help="radius tolerance")
-    p.add_argument("--count", type=int, help="sampled spec count")
-    p.add_argument("--atom-count", type=int, help="atoms per spec")
-    p.add_argument("--n-max", type=int, help="largest section order")
-    p.add_argument("--seed", type=int, help="sampling seed")
+    p.add_argument("--tol", type=_at_least(float, 1e-12), help="radius tolerance")
+    p.add_argument("--count", type=_at_least(int, 1), help="sampled spec count")
+    p.add_argument("--atom-count", type=_at_least(int, 1), help="atoms per spec")
+    p.add_argument("--n-max", type=_at_least(int, 2), help="largest section order")
+    p.add_argument("--seed", type=_at_least(int, 0), help="sampling seed")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("radius", help="radius of one criterion for one section")
@@ -285,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(_FUNCTIONS),
         help="which function to truncate",
     )
-    p.add_argument("--section", type=int, required=True, help="section order n")
+    p.add_argument("--section", type=_at_least(int, 1), required=True, help="section order n")
     p.add_argument(
         "--criterion",
         required=True,
@@ -293,26 +297,29 @@ def build_parser() -> argparse.ArgumentParser:
         help="geometric property to measure",
     )
     p.add_argument("--spec-file", help="JSON spec file (for --function spec-file)")
-    p.add_argument("--index", type=int, default=0, help="spec index in the file")
-    p.add_argument("--tol", type=float, help="radius tolerance")
-    p.add_argument("--grid", type=int, help="boundary grid size")
+    p.add_argument("--index", type=_at_least(int, 0), default=0, help="spec index in the file")
+    p.add_argument("--tol", type=_at_least(float, 1e-12), help="radius tolerance")
+    p.add_argument(
+        "--grid", type=_at_least(int, 16), dest="grid_size", help="boundary grid size"
+    )
     p.set_defaults(func=_cmd_radius)
 
     p = sub.add_parser("sample", help="draw reproducible Herglotz specs")
-    p.add_argument("--count", type=int, default=10, help="number of specs")
-    p.add_argument("--atom-count", type=int, default=3, help="atoms per spec")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
+    p.add_argument("--count", type=_at_least(int, 1), default=10, help="number of specs")
+    p.add_argument("--atom-count", type=_at_least(int, 1), default=3, help="atoms per spec")
+    p.add_argument("--seed", type=_at_least(int, 0), default=0, help="sampling seed")
     p.add_argument("--out", help="spec file path (default: standard output)")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("plot", help="render image-of-disc curves as SVG")
     p.add_argument(
         "--r",
+        type=_radii,
         default="0.3333333333333333,0.5,0.75,0.8",
         help="comma-separated radii in (0, 1)",
     )
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--samples", type=int, help="points per curve")
+    p.add_argument("--samples", type=_at_least(int, 8), help="points per curve")
     p.set_defaults(func=_cmd_plot)
 
     p = sub.add_parser("scan", help="advisory starlikeness scans")
@@ -322,42 +329,21 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["conjecture2", "classical"],
         help="which scan to run",
     )
-    p.add_argument("--count", type=int, help="sampled spec count (conjecture2)")
-    p.add_argument("--atom-count", type=int, help="atoms per spec (conjecture2)")
-    p.add_argument("--sections", help="inclusive section range a..b")
-    p.add_argument("--seed", type=int, help="sampling seed (conjecture2)")
-    p.add_argument("--grid", type=int, help="boundary grid size")
-    p.add_argument("--tol", type=float, help="radius tolerance")
+    p.add_argument("--count", type=_at_least(int, 1), help="sampled spec count (conjecture2)")
+    p.add_argument("--atom-count", type=_at_least(int, 1), help="atoms per spec (conjecture2)")
+    p.add_argument("--sections", type=_section_range, help="inclusive section range a..b")
+    p.add_argument("--seed", type=_at_least(int, 0), help="sampling seed (conjecture2)")
+    p.add_argument("--grid", type=_at_least(int, 16), help="boundary grid size")
+    p.add_argument("--tol", type=_at_least(float, 1e-12), help="radius tolerance")
     p.add_argument("--out", help="report path (default: standard output)")
     p.set_defaults(func=_cmd_scan)
 
     return parser
 
 
-# smallest value each numeric flag accepts; an unset flag (None) is skipped
-_FLAG_MINIMA = {
-    "count": 1,
-    "atom_count": 1,
-    "n_max": 2,
-    "section": 1,
-    "samples": 8,
-    "grid": 16,
-    "tol": 1e-12,
-    "index": 0,
-}
-
-
-def _validate_common(args, parser: argparse.ArgumentParser) -> None:
-    for flag, least in _FLAG_MINIMA.items():
-        value = getattr(args, flag, None)
-        if value is not None and not least <= value < math.inf:
-            parser.error(f"--{flag.replace('_', '-')} must be finite and at least {least}")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _validate_common(args, parser)
     try:
         return args.func(args, parser)
     except OSError as exc:

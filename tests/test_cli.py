@@ -109,6 +109,9 @@ def test_verify_usage_errors():
         with pytest.raises(SystemExit) as err:
             main(["verify", "--tol", tol])
         assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--seed", "-1"])
+    assert err.value.code == 2
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +150,20 @@ def test_radius_koebe_matches_library_bitwise(capsys):
     assert payload["radius"] == expected  # repr round-trip is lossless
 
 
+def test_radius_grid_reaches_library(capsys):
+    """radius --grid feeds criterion_radius's grid_size; at grid 64 the
+    witness angle differs from the default grid's, so a lost flag shows."""
+    code, payload = _run_json(
+        capsys,
+        ["radius", "--function", "f0", "--section", "3", "--criterion", "convex",
+         "--grid", "64"],
+    )
+    assert code == 0
+    expected = criterion_radius(f0(3), Criterion.CONVEXITY, grid_size=64)
+    assert payload["radius"] == expected.radius
+    assert payload["witness_theta"] == expected.witness.argmin_theta
+
+
 def test_radius_half_plane_clamps(capsys):
     code, payload = _run_json(
         capsys,
@@ -166,6 +183,10 @@ def test_radius_usage_errors():
     assert err.value.code == 2
     with pytest.raises(SystemExit) as err:
         main(["radius", "--function", "f0", "--section", "2", "--criterion", "bogus"])
+    assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["radius", "--function", "f0", "--section", "2", "--criterion", "starlike",
+              "--index", "-1"])
     assert err.value.code == 2
     for tol in ("nan", "inf"):
         with pytest.raises(SystemExit) as err:
@@ -234,6 +255,13 @@ def test_spec_file_radius_round_trip(tmp_path, capsys):
     s = section(synthesize_F(spec, order=64), 4)
     expected = criterion_radius(s, Criterion.STARLIKENESS, 1e-9, 2048).radius
     assert payload["radius"] == expected
+
+
+def test_sample_usage_errors():
+    for flag in (["--count", "0"], ["--atom-count", "0"], ["--seed", "-1"]):
+        with pytest.raises(SystemExit) as err:
+            main(["sample", *flag])
+        assert err.value.code == 2
 
 
 def test_sample_io_error(tmp_path, capsys):
@@ -375,6 +403,9 @@ def test_scan_usage_errors():
         with pytest.raises(SystemExit) as err:
             main(["scan", "--target", "conjecture2", "--tol", tol])
         assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["scan", "--target", "conjecture2", "--seed", "-1"])
+    assert err.value.code == 2
     # the classical scan samples no specs, so the sampling flags cannot apply
     for flag in (["--count", "9"], ["--atom-count", "2"], ["--seed", "3"]):
         with pytest.raises(SystemExit) as err:
