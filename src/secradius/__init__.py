@@ -8,10 +8,10 @@ the constants that enter its proof, sharpness witnesses from the extremal
 f0(z) = (z - z^2/2)/(1-z)^2, convexity and starlikeness radii of individual
 sections, and randomized scans of the still-open starlikeness question.
 
-Layers: ``series`` (truncated power series arithmetic), ``zoo`` (named
-functions and Herglotz-sampled members of F), ``bounds`` (closed-form
-coefficient/derivative/tail estimates), ``radius`` (boundary scans,
-certified zero counting, radius solves), ``verify`` (named
+Layers: ``series`` (truncated power series and their sections), ``zoo``
+(named functions and Herglotz-sampled members of F), ``bounds``
+(closed-form coefficient/derivative/tail estimates), ``radius`` (boundary
+scans, certified zero counting, radius solves), ``verify`` (named
 constants and randomized suites), ``cli`` (the ``secradius`` command).
 """
 

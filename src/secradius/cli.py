@@ -142,10 +142,12 @@ def _section_series(args, parser: argparse.ArgumentParser) -> TruncatedSeries:
     n = args.section
     build = _FUNCTIONS[args.function]
     if build is not None:
+        if args.spec_file is not None or args.index is not None:
+            parser.error("--spec-file and --index need --function spec-file")
         return build(n)
     if args.spec_file is None:
         parser.error("--function spec-file requires --spec-file")
-    spec = _load_spec_file(args.spec_file, args.index)
+    spec = _load_spec_file(args.spec_file, args.index or 0)
     return section(synthesize_F(spec, order=max(n, 64)), n)
 
 
@@ -297,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="geometric property to measure",
     )
     p.add_argument("--spec-file", help="JSON spec file (for --function spec-file)")
-    p.add_argument("--index", type=_at_least(int, 0), default=0, help="spec index in the file")
+    p.add_argument("--index", type=_at_least(int, 0), help="spec index in the file (default 0)")
     p.add_argument("--tol", type=_at_least(float, 1e-12), help="radius tolerance")
     p.add_argument(
         "--grid", type=_at_least(int, 16), dest="grid_size", help="boundary grid size"

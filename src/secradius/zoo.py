@@ -87,7 +87,9 @@ class HerglotzSpec:
     @classmethod
     def from_atoms(cls, atoms, seed=None) -> "HerglotzSpec":
         """Build from an iterable of (weight, point) pairs."""
-        ws, xs = zip(*atoms)
+        pairs = list(atoms)
+        ws = [w for w, _ in pairs]
+        xs = [x for _, x in pairs]
         return cls(np.asarray(ws), np.asarray(xs), seed)
 
 

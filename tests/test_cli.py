@@ -193,6 +193,12 @@ def test_radius_usage_errors():
             main(["radius", "--function", "f0", "--section", "2",
                   "--criterion", "starlike", "--tol", tol])
         assert err.value.code == 2
+    # --spec-file and --index apply only to --function spec-file
+    for extra in (["--spec-file", "/nonexistent.json", "--index", "7"], ["--index", "0"]):
+        with pytest.raises(SystemExit) as err:
+            main(["radius", "--function", "f0", "--section", "2",
+                  "--criterion", "re-deriv", *extra])
+        assert err.value.code == 2
 
 
 def test_radius_runtime_errors(tmp_path, capsys):
@@ -211,6 +217,17 @@ def test_radius_runtime_errors(tmp_path, capsys):
          "--section", "3", "--criterion", "starlike"]
     )
     assert code == 1
+
+    # an entry with no atoms (read at the default index 0) is a spec error
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"specs": [{"weights": [], "points": []}]}))
+    capsys.readouterr()
+    code = main(
+        ["radius", "--function", "spec-file", "--spec-file", str(empty),
+         "--section", "3", "--criterion", "starlike"]
+    )
+    assert code == 1
+    assert "non-empty" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """The package namespace re-exports exactly the submodules' public names."""
 
+import pytest
+
 import secradius
 from secradius import bounds, exceptions, radius, series, verify, zoo
 
@@ -11,3 +13,10 @@ def test_package_exports_are_the_submodule_lists():
     assert set(names) == {"__version__"}.union(*(m.__all__ for m in submodules))
     missing = [name for name in names if not hasattr(secradius, name)]
     assert missing == []
+
+
+def test_series_surface_is_the_type_and_its_sections():
+    assert series.__all__ == ["TruncatedSeries", "section", "is_normalized"]
+    z = series.TruncatedSeries([0, 1])
+    with pytest.raises(TypeError):
+        z + z

@@ -27,7 +27,7 @@ from secradius.radius import (
     criterion_value,
     golden_section_min,
 )
-from secradius.series import TruncatedSeries, identity, section
+from secradius.series import TruncatedSeries, section
 from secradius.zoo import f0, koebe, rotation, sample_specs, synthesize_F
 
 try:
@@ -38,6 +38,7 @@ try:
 except ImportError:  # pragma: no cover - optional dependency
     HAS_HYPOTHESIS = False
 
+Z = TruncatedSeries([0, 1])  # the identity map z
 S2 = f0(2)  # z + 3/2 z^2, derivative 1 + 3z
 S3 = f0(3)
 
@@ -79,7 +80,7 @@ def test_golden_section_value_never_above_probes():
 
 
 def test_re_deriv_values():
-    assert criterion_value(identity(1), Criterion.RE_DERIV, 0.9j) == 1.0
+    assert criterion_value(Z, Criterion.RE_DERIV, 0.9j) == 1.0
     assert abs(criterion_value(S2, Criterion.RE_DERIV, -1.0 / 3.0)) < 1e-15
     assert criterion_value(S2, Criterion.RE_DERIV, 0.0) == 1.0
 
@@ -124,7 +125,7 @@ def test_convexity_pole_detection():
 
 
 def test_boundary_min_of_identity_is_one():
-    scan = boundary_min(identity(1), Criterion.RE_DERIV, 0.9)
+    scan = boundary_min(Z, Criterion.RE_DERIV, 0.9)
     assert scan.min_value == 1.0
     assert scan.r == 0.9
     assert scan.grid_size == 2048
@@ -360,7 +361,7 @@ def test_count_zeros_linear():
 
 
 def test_count_zeros_at_origin():
-    assert count_zeros(identity(1), 0.7) == 1
+    assert count_zeros(Z, 0.7) == 1
     # multiple zeros at the origin are counted from the coefficients
     assert count_zeros(TruncatedSeries([0, 0, 1]), 0.1) == 2
     assert count_zeros(TruncatedSeries([0, 0, 0, 1, 1]), 0.9) == 3
@@ -492,8 +493,8 @@ def test_radius_s3_re_deriv_closed_form():
 
 
 def test_radius_identity_clamps():
-    # identity(3) has guard 1 + 0z + 0z^2, a constant once trimmed
-    for s in (identity(1), identity(3)):
+    # z padded to order 3 has guard 1 + 0z + 0z^2, a constant once trimmed
+    for s in (Z, TruncatedSeries([0, 1, 0, 0])):
         for criterion in Criterion:
             res = criterion_radius(s, criterion)
             assert res.radius == 1.0

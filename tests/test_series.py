@@ -1,22 +1,10 @@
-"""Unit tests for truncated power-series arithmetic."""
+"""Unit tests for the truncated power-series type and its sections."""
 
 import numpy as np
 import pytest
 
 from secradius.exceptions import OrderError, ValidationError
-from secradius.series import (
-    TruncatedSeries,
-    add,
-    derivative,
-    divide,
-    evaluate,
-    identity,
-    is_normalized,
-    multiply,
-    section,
-    subtract,
-    tail,
-)
+from secradius.series import TruncatedSeries, is_normalized, section
 
 try:
     from hypothesis import given, settings
@@ -70,16 +58,8 @@ def test_rejects_non_finite_coefficients():
         TruncatedSeries([0.0, complex(0.0, np.inf)])
 
 
-def test_identity_series():
-    s = identity(4)
-    np.testing.assert_array_equal(s.coeffs, [0, 1, 0, 0, 0])
-    assert identity().order == 1
-    with pytest.raises(OrderError):
-        identity(0)
-
-
 def test_is_normalized():
-    assert is_normalized(identity(3))
+    assert is_normalized(TruncatedSeries([0, 1, 0, 0]))
     assert is_normalized(TruncatedSeries([1e-13, 1.0 + 1e-13, 5.0]))
     assert not is_normalized(TruncatedSeries([0.5, 1.0]))
     assert not is_normalized(TruncatedSeries([0.0, 2.0]))
@@ -89,119 +69,20 @@ def test_is_normalized():
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
-# ---------------------------------------------------------------------------
-
-
-def test_evaluate_against_polyval_oracle():
-    """Horner evaluation must agree with numpy's polyval."""
-    rng = np.random.default_rng(42)
-    for _ in range(25):
-        n = int(rng.integers(1, 12))
-        c = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
-        s = TruncatedSeries(c)
-        z = complex(*rng.normal(scale=0.5, size=2))
-        expected = np.polynomial.polynomial.polyval(z, c)
-        assert abs(evaluate(s, z) - expected) < 1e-12 * (1.0 + abs(expected))
-
-
-def test_evaluate_known_points():
-    """Hand-checkable evaluations of tiny polynomials."""
-    s = TruncatedSeries([1, 2, 3])  # 1 + 2z + 3z^2
-    assert evaluate(s, 0.0) == 1.0
-    assert evaluate(s, 1.0) == 6.0
-    assert abs(evaluate(s, 1j) - (1 + 2j - 3)) < 1e-15
-
-
-def test_evaluate_returns_python_complex():
-    assert isinstance(evaluate(identity(3), 0.25), complex)
-
-
-# ---------------------------------------------------------------------------
-# Calculus and ring operations
-# ---------------------------------------------------------------------------
-
-
-def test_derivative_known():
-    s = TruncatedSeries([5, 0, 3, 2])  # 5 + 3z^2 + 2z^3
-    d = derivative(s)
-    np.testing.assert_allclose(d.coeffs, [0, 6, 6])
-    assert d.order == s.order - 1
-
-
-def test_derivative_of_constant_raises():
-    with pytest.raises(OrderError):
-        derivative(TruncatedSeries([7.0]))
-
-
-def test_multiply_truncates_to_shared_order():
-    a = TruncatedSeries([1, 1, 0])  # 1 + z, padded to order 2
-    b = TruncatedSeries([1, -1, 0])
-    prod = multiply(a, b)
-    np.testing.assert_allclose(prod.coeffs, [1, 0, -1])
-    assert prod.order == 2
-
-
-def test_multiply_against_convolution_oracle():
-    rng = np.random.default_rng(7)
-    a = TruncatedSeries(rng.normal(size=6) + 1j * rng.normal(size=6))
-    b = TruncatedSeries(rng.normal(size=6) + 1j * rng.normal(size=6))
-    full = np.convolve(a.coeffs, b.coeffs)[:6]
-    np.testing.assert_allclose(multiply(a, b).coeffs, full, atol=1e-14)
-
-
-def test_add_subtract_zero_pad():
-    a = TruncatedSeries([1, 2])
-    b = TruncatedSeries([1, 1, 1, 1])
-    np.testing.assert_allclose(add(a, b).coeffs, [2, 3, 1, 1])
-    np.testing.assert_allclose(subtract(b, a).coeffs, [0, -1, 1, 1])
-    assert add(a, b).order == 3
-
-
-def test_operator_dunders():
-    a = TruncatedSeries([0, 1, 1])
-    b = TruncatedSeries([0, 1, 0])
-    np.testing.assert_allclose((a + b).coeffs, [0, 2, 1])
-    np.testing.assert_allclose((a - b).coeffs, [0, 0, 1])
-    np.testing.assert_allclose((a * b).coeffs, [0, 0, 1])
-
-
-def test_divide_inverts_multiply():
-    rng = np.random.default_rng(3)
-    a = TruncatedSeries(rng.normal(size=8))
-    b_coeffs = rng.normal(size=8)
-    b_coeffs[0] = 1.5  # safely invertible constant term
-    b = TruncatedSeries(b_coeffs)
-    q = divide(multiply(a, b), b)
-    np.testing.assert_allclose(q.coeffs, a.coeffs, atol=1e-10)
-
-
-def test_divide_geometric_series():
-    """1 / (1 - z) = 1 + z + z^2 + ..."""
-    one = TruncatedSeries([1, 0, 0, 0, 0])
-    denom = TruncatedSeries([1, -1, 0, 0, 0])
-    np.testing.assert_allclose(divide(one, denom).coeffs, np.ones(5), atol=1e-14)
-
-
-def test_divide_by_zero_constant_term():
-    with pytest.raises(ValidationError):
-        divide(identity(3), identity(3))
-
-
-# ---------------------------------------------------------------------------
-# Sections and tails
+# Sections
 # ---------------------------------------------------------------------------
 
 
 def test_section_and_tail_recombine():
+    """The section and the tail coefficients c_{n+1}.. make up the series."""
     rng = np.random.default_rng(11)
     s = TruncatedSeries(rng.normal(size=13) + 1j * rng.normal(size=13))
     for n in (1, 4, 12):
         head = section(s, n)
-        rest = tail(s, n)
         assert head.order == n
-        assert rest.order == s.order
-        np.testing.assert_array_equal(add(head, rest).coeffs, s.coeffs)
+        np.testing.assert_array_equal(
+            np.concatenate([head.coeffs, s.coeffs[n + 1 :]]), s.coeffs
+        )
 
 
 def test_section_of_full_order_is_identity_map():
@@ -209,20 +90,11 @@ def test_section_of_full_order_is_identity_map():
     np.testing.assert_array_equal(section(s, 3).coeffs, s.coeffs)
 
 
-def test_section_tail_bounds():
+def test_section_bounds():
     s = TruncatedSeries([0, 1, 2, 3])
     for bad in (0, 4, -1):
         with pytest.raises(OrderError):
             section(s, bad)
-        with pytest.raises(OrderError):
-            tail(s, bad)
-
-
-def test_tail_leading_coefficients_vanish():
-    s = TruncatedSeries(np.arange(8, dtype=float))
-    t = tail(s, 3)
-    np.testing.assert_array_equal(t.coeffs[:4], np.zeros(4))
-    np.testing.assert_array_equal(t.coeffs[4:], s.coeffs[4:])
 
 
 if HAS_HYPOTHESIS:
@@ -237,24 +109,8 @@ if HAS_HYPOTHESIS:
     )
     @settings(max_examples=50, deadline=None)
     def test_property_section_plus_tail(coeffs, n):
-        """Property: section and tail always partition the coefficients."""
+        """Property: a section and the tail coefficients partition the series."""
         s = TruncatedSeries(coeffs)
         k = min(n, s.order)
-        recombined = add(section(s, k), tail(s, k))
-        np.testing.assert_array_equal(recombined.coeffs, s.coeffs)
-
-    @given(
-        st.lists(
-            st.floats(min_value=-5, max_value=5, allow_nan=False),
-            min_size=2,
-            max_size=8,
-        )
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_property_derivative_linearity(coeffs):
-        """Property: differentiation commutes with doubling."""
-        s = TruncatedSeries(coeffs)
-        doubled = add(s, s)
-        np.testing.assert_allclose(
-            derivative(doubled).coeffs, 2.0 * derivative(s).coeffs, atol=1e-12
-        )
+        recombined = np.concatenate([section(s, k).coeffs, s.coeffs[k + 1 :]])
+        np.testing.assert_array_equal(recombined, s.coeffs)
