@@ -26,7 +26,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .exceptions import SecradiusError
+from .exceptions import SecradiusError, ValidationError
 from .radius import Criterion, criterion_radius
 from .series import TruncatedSeries, section
 from .verify import (
@@ -131,11 +131,15 @@ def _library_kwargs(args, *keys: str) -> dict:
 def _load_spec_file(path: str, index: int) -> HerglotzSpec:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     specs = data["specs"] if isinstance(data, dict) else data
+    count = f"entries in {path}: {len(specs)}"
+    if index >= len(specs):
+        raise ValidationError(f"--index {index} is out of range; {count}")
     entry = specs[index]
-    atoms = [
-        (w, complex(p[0], p[1])) for w, p in zip(entry["weights"], entry["points"])
-    ]
-    return HerglotzSpec.from_atoms(atoms, seed=entry.get("seed"))
+    for key in ("weights", "points"):
+        if key not in entry:
+            raise ValidationError(f"spec entry {index} has no {key!r}; {count}")
+    points = [complex(x, y) for x, y in entry["points"]]
+    return HerglotzSpec(entry["weights"], points, entry.get("seed"))
 
 
 def _section_series(args, parser: argparse.ArgumentParser) -> TruncatedSeries:

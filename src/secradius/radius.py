@@ -10,8 +10,11 @@ re-deriv           Re s'(z)                       derivative has
                                                   positive real part
 convex             Re(1 + z s''(z)/s'(z))        convexity
 starlike           Re(z s'(z)/s(z))              starlikeness w.r.t. 0
-local-univalence   |s'(z)|                        s' does not vanish
+local-univalence   none: the guard bound of s'    s' does not vanish
 =================  =============================  =========================
+
+Local univalence has no field: it asks only that s' be zero-free, and the
+certified guard bound of s' (below) is its radius.
 
 Each field is harmonic wherever its defining quotient is analytic, so its
 minimum over a closed disc sits on the bounding circle.  Every field is
@@ -112,8 +115,9 @@ class RadiusResult:
     and the radius errs large (see the strict xfail
     ``test_starlike_radius_errs_small_when_the_grid_misses_a_narrow_dip``).
     ``witness`` is the boundary scan of the probe that certified the radius
-    (None when even tiny discs fail or nothing bounds the guard's zeros
-    away from 0).  ``iterations`` counts boundary-scan probes.
+    (None when even tiny discs fail, when nothing bounds the guard's zeros
+    away from 0, and for local univalence, which probes nothing).
+    ``iterations`` counts boundary-scan probes.
     """
 
     radius: float
@@ -163,7 +167,8 @@ def criterion_value(s: TruncatedSeries, criterion: Criterion, z: complex) -> flo
     The starlikeness field takes its limit value 1.0 at z = 0 (removable for
     any normalized series).  Quotient criteria raise
     :class:`PoleProximityError` when the denominator modulus falls below the
-    representable floor.
+    representable floor.  Local univalence has no field and raises
+    :class:`ValidationError`.
     """
     return _point_jet(_field_parts(s, Criterion(criterion)))(complex(z))[0]
 
@@ -173,19 +178,20 @@ def _field_parts(
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Coefficients (num, den) of the polynomials that make up the field.
 
-    The field is Re num when ``den`` is None, |den| when ``num`` is None and
-    Re(num/den) otherwise; :func:`_point_jet` and :func:`_grid_field`
-    evaluate it.  ``den`` is also the guard polynomial whose zeros inside
-    the disc void the boundary argument.  For starlikeness num(0)/den(0) =
-    c_1/c_1, so z = 0 needs no special case.
+    The field is Re num when ``den`` is None and Re(num/den) otherwise;
+    :func:`_point_jet` and :func:`_grid_field` evaluate it.  ``den`` is also
+    the guard polynomial whose zeros inside the disc void the boundary
+    argument.  For starlikeness num(0)/den(0) = c_1/c_1, so z = 0 needs no
+    special case.  Local univalence has no field (its radius is the guard
+    bound of s'), so it raises :class:`ValidationError`.
     """
+    if criterion is Criterion.LOCAL_UNIVALENCE:
+        raise ValidationError("local-univalence has no boundary field")
     c = s.coeffs
     m = np.arange(1, c.size)
     ds = c[1:] * m
     if criterion is Criterion.RE_DERIV:
         return ds, None
-    if criterion is Criterion.LOCAL_UNIVALENCE:
-        return None, ds
     if criterion is Criterion.CONVEXITY:
         # 1 + z s''/s' = (z s')'/s', and (z s')' = sum m^2 c_m z^(m-1)
         return ds * m, ds
@@ -226,21 +232,6 @@ def _point_jet(parts: tuple) -> Callable[[complex], tuple[float, float, float]]:
     rev_num, rev_den = (None if p is None else p[::-1].tolist() for p in parts)
     if rev_den is None:
         return lambda z: _re_theta_jet(z, *_horner_jet(rev_num, z))
-    if rev_num is None:
-
-        def modulus(z: complex) -> tuple[float, float, float]:
-            d, d1, d2 = _horner_jet(rev_den, z)
-            a = abs(d)
-            if a == 0.0:
-                # |den| has a kink at its zero: no derivative there
-                return 0.0, math.nan, math.nan
-            # theta-derivatives of log|den| = Re log den, whose z-derivatives
-            # are g = den'/den and den''/den - g^2; then |den| = exp(log|den|)
-            g = d1 / d
-            _, l1, l2 = _re_theta_jet(z, 0j, g, d2 / d - g * g)
-            return a, a * l1, a * (l2 + l1 * l1)
-
-        return modulus
 
     def quotient(z: complex) -> tuple[float, float, float]:
         d, d1, d2 = _horner_jet(rev_den, z)
@@ -273,8 +264,6 @@ def _grid_field(parts: tuple, r: float, grid: int) -> np.ndarray:
     num, den = (None if p is None else _circle_values(p, r, grid) for p in parts)
     if den is None:
         return num.real
-    if num is None:
-        return np.abs(den)
     bad = int(np.argmin(np.abs(den)))
     if abs(den[bad]) < _POLE_TOL:
         z = cmath.rect(r, bad * _TWO_PI / grid)
@@ -394,31 +383,35 @@ def criterion_radius(
     non-increasing.  So one :func:`_bracket_root` call searches
     [0, min(rho, cap)] on m alone, ``rho`` failing unprobed because the field
     at a guard zero can look positive; a cap below ``rho`` is probed first,
-    and passing there clamps.  Local univalence, whose m stays positive up
-    to the guard's first zero, ends within ``tol`` of ``rho``.  A bound of 0
-    (coincident root approximations) leaves the empty bracket [0, 0]: radius
-    0.0, no witness, no probe.
+    and passing there clamps.  Every probe lies strictly below ``rho``, so no
+    probed circle meets a pole.  A bound of 0 (coincident root
+    approximations) leaves the empty bracket [0, 0]: radius 0.0, no
+    witness, no probe.
 
-    Any numeric failure (pole proximity) counts as a failed probe, so the
-    result errs small, by at most ``tol``, provided ``grid_size`` resolves
-    every negative arc of the field on the probed circles: a narrower arc
-    away from the grid argmin is missed, and the radius then errs large
-    (see :class:`RadiusResult`).  A criterion surviving at the cap 1 - 1e-6
-    reports radius 1.0 with ``clamped`` set.
+    Local univalence asks only that the guard s' be zero-free, which is what
+    ``rho`` certifies: its radius is ``rho`` itself, with no probe and no
+    witness, below the first zero of s' by the width of the root discs.
+
+    The result errs small, by at most ``tol``, provided ``grid_size``
+    resolves every negative arc of the field on the probed circles: a
+    narrower arc away from the grid argmin is missed, and the radius then
+    errs large (see :class:`RadiusResult`).  A criterion surviving at the
+    cap 1 - 1e-6 reports radius 1.0 with ``clamped`` set.
     """
     criterion = Criterion(criterion)
     if not is_normalized(s, tol=1e-9):
         raise ValidationError("criterion_radius requires a normalized series")
     if not 1e-12 <= tol < math.inf:
         raise ValidationError(f"tolerance must be finite and at least 1e-12, got {tol}")
+    if criterion is Criterion.LOCAL_UNIVALENCE:
+        rho = _guard_bound(s.coeffs[1:] * np.arange(1, s.coeffs.size))
+        clamped = rho > RADIUS_CAP
+        return RadiusResult(1.0 if clamped else rho, None, 0, tol, clamped)
     den = _field_parts(s, criterion)[1]
     rho = math.inf if den is None else _guard_bound(den)
 
-    def value(r: float) -> tuple[float, BoundaryScan | None]:
-        try:
-            scan = boundary_min(s, criterion, r, grid_size)
-        except PoleProximityError:
-            return -math.inf, None
+    def value(r: float) -> tuple[float, BoundaryScan]:
+        scan = boundary_min(s, criterion, r, grid_size)
         return scan.min_value, scan
 
     f_cap = -math.inf
@@ -526,7 +519,7 @@ def _bracket_root(
                 f_hi *= _ab_factor(f, f_lo)
             lo, f_lo, data = x, f, info
         else:
-            if passed_last is False and math.isfinite(f) and math.isfinite(f_hi):
+            if passed_last is False and math.isfinite(f_hi):
                 f_lo *= _ab_factor(f, f_hi)
             hi, f_hi = x, f
         passed_last = f > 0.0

@@ -229,6 +229,28 @@ def test_radius_runtime_errors(tmp_path, capsys):
     assert code == 1
     assert "non-empty" in capsys.readouterr().err
 
+    # unmatched atoms, an index past the end and a missing key are refused,
+    # each by a message that names the fault
+    mismatched = tmp_path / "mismatched.json"
+    mismatched.write_text(
+        json.dumps({"specs": [{"weights": [0.5, 0.5], "points": [[1, 0], [-1, 0], [0, 1]]}]})
+    )
+    no_points = tmp_path / "no_points.json"
+    no_points.write_text(json.dumps({"specs": [{"weights": [1.0]}]}))
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps([{"weights": [1.0], "points": [[1, 0]]}]))
+    for path, extra, message in (
+        (mismatched, [], "matching"),
+        (no_points, [], f"spec entry 0 has no 'points'; entries in {no_points}: 1"),
+        (one, ["--index", "5"], f"--index 5 is out of range; entries in {one}: 1"),
+    ):
+        code = main(
+            ["radius", "--function", "spec-file", "--spec-file", str(path),
+             "--section", "3", "--criterion", "starlike", *extra]
+        )
+        assert code == 1
+        assert message in capsys.readouterr().err
+
 
 # ---------------------------------------------------------------------------
 # sample + spec-file round trip
@@ -493,3 +515,4 @@ def test_radius_local_univalence(capsys):
     assert code == 0
     assert 1.0 / 3.0 - 5e-6 <= payload["radius"] <= 1.0 / 3.0
     assert payload["clamped"] is False
+    assert payload["witness_theta"] is None

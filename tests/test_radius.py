@@ -41,6 +41,8 @@ except ImportError:  # pragma: no cover - optional dependency
 Z = TruncatedSeries([0, 1])  # the identity map z
 S2 = f0(2)  # z + 3/2 z^2, derivative 1 + 3z
 S3 = f0(3)
+#: Criteria with a boundary field; local univalence is its guard bound alone.
+FIELD_CRITERIA = [c for c in Criterion if c is not Criterion.LOCAL_UNIVALENCE]
 
 
 # ---------------------------------------------------------------------------
@@ -94,11 +96,15 @@ def test_starlikeness_value_at_origin_is_limit():
     assert criterion_value(S2, Criterion.STARLIKENESS, 0.0) == 1.0
 
 
-def test_local_univalence_is_modulus():
-    v = criterion_value(S2, Criterion.LOCAL_UNIVALENCE, 0.2j)
-    assert abs(v - abs(1.0 + 0.6j)) < 1e-14
-    # s' = 1 + 3z is exactly 0 there in floating point
-    assert criterion_value(S2, Criterion.LOCAL_UNIVALENCE, -1.0 / 3.0) == 0.0
+def test_local_univalence_has_no_field():
+    """Local univalence is decided by the guard bound of s', so the scans
+    that evaluate a field refuse it."""
+    with pytest.raises(ValidationError, match="no boundary field"):
+        criterion_value(S2, Criterion.LOCAL_UNIVALENCE, 0.2j)
+    with pytest.raises(ValidationError, match="no boundary field"):
+        criterion_value(S2, "local-univalence", 0.0)
+    with pytest.raises(ValidationError, match="no boundary field"):
+        boundary_min(S2, Criterion.LOCAL_UNIVALENCE, 0.2)
 
 
 def test_criterion_accepts_plain_strings():
@@ -206,7 +212,7 @@ def _grid_cases():
     return cases
 
 
-@pytest.mark.parametrize("criterion", list(Criterion))
+@pytest.mark.parametrize("criterion", FIELD_CRITERIA)
 def test_grid_field_matches_point_values(criterion):
     """The FFT grid path and the Horner point path give the same field."""
     for s, r, grid in _grid_cases():
@@ -247,7 +253,7 @@ def _difference_errors(fn, thetas, h=1e-4):
     return jets, max(errors)
 
 
-@pytest.mark.parametrize("criterion", list(Criterion))
+@pytest.mark.parametrize("criterion", FIELD_CRITERIA)
 def test_point_jet_derivatives_match_differences(criterion):
     """The point jet's phi', phi'' are the theta-derivatives of phi, and its
     phi is the grid field at the grid angles."""
@@ -294,7 +300,7 @@ def test_boundary_min_no_worse_than_golden_refinement():
     """Newton refinement ends at least as low as golden-section search over
     the same two grid cells, up to rounding."""
     for s in _golden_sections():
-        for criterion in Criterion:
+        for criterion in FIELD_CRITERIA:
             parts = _field_parts(s, criterion)
             for r in (0.1, 0.3, 1.0 / 3.0 - 1e-6, 0.45):
                 for grid in (64, 512, 2048):
@@ -476,10 +482,8 @@ def test_radius_s2_starlike_and_univalence():
     star = criterion_radius(S2, Criterion.STARLIKENESS)
     loc = criterion_radius(S2, Criterion.LOCAL_UNIVALENCE)
     assert abs(star.radius - 1.0 / 3.0) <= 1e-6
-    # |s'| stays positive on circles on *both* sides of 1/3, so the zero of
-    # s' at -1/3, the end of the search bracket, pins the radius.  The
-    # certified guard bound sits within rounding of that zero, so the result
-    # is within tol of it.
+    # the radius is the certified guard bound of s' = 1 + 3z, which sits
+    # within rounding below its zero at -1/3
     assert 1.0 / 3.0 - loc.tol <= loc.radius < 1.0 / 3.0
 
 
@@ -499,7 +503,10 @@ def test_radius_identity_clamps():
             res = criterion_radius(s, criterion)
             assert res.radius == 1.0
             assert res.clamped
-            assert res.witness is not None and res.witness.r == RADIUS_CAP
+            if criterion is Criterion.LOCAL_UNIVALENCE:
+                assert res.witness is None and res.iterations == 0
+            else:
+                assert res.witness is not None and res.witness.r == RADIUS_CAP
 
 
 def _sampled_sections():
@@ -537,6 +544,42 @@ def test_radius_errs_small_on_sampled_sections():
                 assert res.radius < rho
         assert radii[Criterion.CONVEXITY] <= radii[Criterion.STARLIKENESS] + tol
         assert radii[Criterion.RE_DERIV] <= radii[Criterion.LOCAL_UNIVALENCE] + tol
+
+
+def test_local_univalence_radius_is_the_guard_bound(monkeypatch):
+    """On the sampled sections, f0(2..30) and koebe(5..40), the radius is the
+    guard bound of s' bit for bit, found without a boundary scan."""
+    scans = []
+    monkeypatch.setattr(radius_module, "boundary_min", lambda *a, **k: scans.append(a))
+    sections = _sampled_sections() + [f0(n) for n in range(2, 31)]
+    sections += [koebe(n) for n in range(5, 41)]
+    for s in sections:
+        res = criterion_radius(s, Criterion.LOCAL_UNIVALENCE)
+        assert res.radius == _guard_bound(s.coeffs[1:] * np.arange(1, s.coeffs.size))
+        assert not res.clamped
+        assert res.iterations == 0 and res.witness is None
+    assert scans == []
+
+
+def test_radius_probes_stay_below_the_guard_bound(monkeypatch):
+    """Every circle a field criterion's solve scans lies strictly inside the
+    guard bound and at most at the cap, so no probe meets a pole."""
+    probed = []
+    scan = radius_module.boundary_min
+
+    def recording(s, criterion, r, grid_size=2048):
+        probed.append(r)
+        return scan(s, criterion, r, grid_size)
+
+    monkeypatch.setattr(radius_module, "boundary_min", recording)
+    for s in _sampled_sections():
+        for criterion in FIELD_CRITERIA:
+            probed.clear()
+            criterion_radius(s, criterion)
+            den = _field_parts(s, criterion)[1]
+            rho = math.inf if den is None else _guard_bound(den)
+            assert probed
+            assert all(r < rho and r <= RADIUS_CAP for r in probed)
 
 
 @pytest.mark.xfail(
