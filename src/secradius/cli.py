@@ -128,18 +128,32 @@ def _library_kwargs(args, *keys: str) -> dict:
     return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
 
 
+def _is_number(value) -> bool:  # a JSON int or float that a float holds, not a bool
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
 def _load_spec_file(path: str, index: int) -> HerglotzSpec:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    specs = data["specs"] if isinstance(data, dict) else data
+    specs = data.get("specs") if isinstance(data, dict) else data
+    if not isinstance(specs, list):
+        raise ValidationError(f"{path} holds no list of spec entries")
     count = f"entries in {path}: {len(specs)}"
     if index >= len(specs):
         raise ValidationError(f"--index {index} is out of range; {count}")
     entry = specs[index]
+    if not isinstance(entry, dict):
+        raise ValidationError(f"spec entry {index} is not an object; {count}")
     for key in ("weights", "points"):
         if key not in entry:
             raise ValidationError(f"spec entry {index} has no {key!r}; {count}")
-    points = [complex(x, y) for x, y in entry["points"]]
-    return HerglotzSpec(entry["weights"], points, entry.get("seed"))
+    weights, points = entry["weights"], entry["points"]
+    if not isinstance(weights, list) or not all(map(_is_number, weights)):
+        raise ValidationError(f"spec entry {index}: weights must be numbers; {count}")
+    if not isinstance(points, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(map(_is_number, p)) for p in points
+    ):
+        raise ValidationError(f"spec entry {index}: points must be [re, im] number pairs; {count}")
+    return HerglotzSpec(weights, [complex(x, y) for x, y in points], entry.get("seed"))
 
 
 def _section_series(args, parser: argparse.ArgumentParser) -> TruncatedSeries:
@@ -169,9 +183,7 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
 
 def _cmd_radius(args, parser: argparse.ArgumentParser) -> int:
     s = _section_series(args, parser)
-    res = criterion_radius(
-        s, Criterion(args.criterion), **_library_kwargs(args, "tol", "grid_size")
-    )
+    res = criterion_radius(s, args.criterion, **_library_kwargs(args, "tol", "grid_size"))
     theta = res.witness.argmin_theta if res.witness is not None else None
     print(
         json.dumps({"radius": res.radius, "witness_theta": theta, "clamped": res.clamped})
@@ -355,7 +367,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 1
-    except (SecradiusError, KeyError, IndexError, ValueError) as exc:
+    except (SecradiusError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

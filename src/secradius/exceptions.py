@@ -1,10 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types: ValidationError (a ValueError) for every rejected argument,
+and three ArithmeticError types for numerical failures."""
 
 __all__ = [
     "SecradiusError",
     "ValidationError",
-    "DomainError",
-    "OrderError",
     "PoleProximityError",
     "ZeroOnCircleError",
     "CrossCheckError",
@@ -16,15 +15,8 @@ class SecradiusError(Exception):
 
 
 class ValidationError(SecradiusError, ValueError):
-    """An input object violates its structural invariants."""
-
-
-class DomainError(SecradiusError, ValueError):
-    """A scalar argument lies outside the domain of a formula."""
-
-
-class OrderError(SecradiusError, ValueError):
-    """A series has too low an order for the requested operation."""
+    """Any rejected argument: a scalar outside its domain, too low an order,
+    a broken structural invariant, or a malformed spec file."""
 
 
 class PoleProximityError(SecradiusError, ArithmeticError):

@@ -53,12 +53,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exceptions import (
-    DomainError,
-    PoleProximityError,
-    ValidationError,
-    ZeroOnCircleError,
-)
+from .exceptions import PoleProximityError, ValidationError, ZeroOnCircleError
 from .series import TruncatedSeries, is_normalized
 
 __all__ = [
@@ -332,7 +327,7 @@ def boundary_min(
     """
     criterion = Criterion(criterion)
     if not 0.0 < r < 1.0:
-        raise DomainError(f"scan radius must lie in (0, 1), got {r}")
+        raise ValidationError(f"scan radius must lie in (0, 1), got {r}")
     if grid_size < 16:
         raise ValidationError(f"grid must have at least 16 points, got {grid_size}")
     value, theta = _circle_min(_field_parts(s, criterion), r, grid_size)
@@ -355,7 +350,7 @@ def count_zeros(s: TruncatedSeries, r: float) -> int:
     approximations): the discs then cannot place a zero on either side.
     """
     if not 0.0 < r < 1.0:
-        raise DomainError(f"radius must lie in (0, 1), got {r}")
+        raise ValidationError(f"radius must lie in (0, 1), got {r}")
     c = np.trim_zeros(s.coeffs, "b")
     if c.size == 0:
         raise ZeroOnCircleError("the series is identically 0")
@@ -403,6 +398,8 @@ def criterion_radius(
         raise ValidationError("criterion_radius requires a normalized series")
     if not 1e-12 <= tol < math.inf:
         raise ValidationError(f"tolerance must be finite and at least 1e-12, got {tol}")
+    if grid_size < 16:
+        raise ValidationError(f"grid must have at least 16 points, got {grid_size}")
     if criterion is Criterion.LOCAL_UNIVALENCE:
         rho = _guard_bound(s.coeffs[1:] * np.arange(1, s.coeffs.size))
         clamped = rho > RADIUS_CAP

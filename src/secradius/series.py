@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import OrderError, ValidationError
+from .exceptions import ValidationError
 
 __all__ = ["TruncatedSeries", "section", "is_normalized"]
 
@@ -57,7 +57,7 @@ def is_normalized(s: TruncatedSeries, tol: float = 1e-12) -> bool:
 def section(s: TruncatedSeries, n: int) -> TruncatedSeries:
     """The n-th partial sum: coefficients 0..n, order n."""
     if not 1 <= n <= s.order:
-        raise OrderError(
+        raise ValidationError(
             f"section index {n} outside 1..{s.order}; synthesize more coefficients first"
         )
     return TruncatedSeries(s.coeffs[: n + 1])

@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .bounds import k_tail
-from .exceptions import CrossCheckError, DomainError, ValidationError
+from .exceptions import CrossCheckError, ValidationError
 from .radius import (
     Criterion,
     RadiusResult,
@@ -190,7 +190,7 @@ def cube_min_by_boundary(r: float) -> tuple[float, float]:
     about 43 evaluations.
     """
     if not 0.0 < r < 1.0:
-        raise DomainError(f"radius must lie in (0, 1), got {r}")
+        raise ValidationError(f"radius must lie in (0, 1), got {r}")
     return _circle_min((np.ones(1), np.array([1.0, -3.0, 3.0, -1.0])), r, _GRID)
 
 
@@ -305,8 +305,6 @@ def _sweep_minimum(
     gives (value, theta).  Returns ((value, label, n, theta), f0_n2), where
     f0_n2 is f0's (value, theta) at n = 2, None when n_min > 2.
     """
-    if count < 1:
-        raise ValidationError(f"sample count must be >= 1, got {count}")
     members = [("f0", HerglotzSpec.from_atoms([(1.0, 1.0 + 0.0j)]))]
     members += [(spec.seed, spec) for spec in sample_specs(count, atom_count, seed)]
     best: tuple[float, object, int, float] = (math.inf, None, 0, 0.0)
@@ -481,7 +479,7 @@ def figure1_curves(r: float, samples: int = 2048) -> np.ndarray:
     (theta = 0 and 2*pi), so first and last points coincide.
     """
     if not 0.0 < r < 1.0:
-        raise DomainError(f"radius must lie in (0, 1), got {r}")
+        raise ValidationError(f"radius must lie in (0, 1), got {r}")
     if samples < 8:
         raise ValidationError(f"need at least 8 samples, got {samples}")
     thetas = np.linspace(0.0, _TWO_PI, samples)

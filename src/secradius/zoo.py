@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainError, ValidationError
+from .exceptions import ValidationError
 from .series import TruncatedSeries
 
 __all__ = [
@@ -95,7 +95,7 @@ class HerglotzSpec:
 
 def _check_order(n: int) -> int:
     if n < 1:
-        raise DomainError(f"series order must be >= 1, got {n}")
+        raise ValidationError(f"series order must be >= 1, got {n}")
     return int(n)
 
 
@@ -134,7 +134,7 @@ def p_coeffs(spec: HerglotzSpec, order: int) -> np.ndarray:
     p_0 = 1 and p_j = 2 sum_k w_k x_k^j; every |p_j| <= 2.
     """
     if order < 0:
-        raise DomainError("order must be >= 0")
+        raise ValidationError("order must be >= 0")
     powers = spec.points[None, :] ** np.arange(1, order + 1)[:, None]
     p = np.empty(order + 1, dtype=np.complex128)
     p[0] = 1.0
@@ -177,7 +177,7 @@ def roots_of_unity_spec(k: int) -> HerglotzSpec:
     their p is (1 + z^2)/(1 - z^2).
     """
     if k < 1:
-        raise DomainError("need at least one atom")
+        raise ValidationError("need at least one atom")
     x = np.exp(2j * np.pi * np.arange(k) / k)
     return HerglotzSpec(np.full(k, 1.0 / k), x)
 
@@ -185,7 +185,7 @@ def roots_of_unity_spec(k: int) -> HerglotzSpec:
 def spec_from_seed(seed: int, atom_count: int) -> HerglotzSpec:
     """Regenerate a single sampled spec from its recorded seed (own PCG64 stream)."""
     if atom_count < 1:
-        raise DomainError("atom_count must be >= 1")
+        raise ValidationError("atom_count must be >= 1")
     rng = np.random.default_rng(seed)
     u = rng.random(atom_count)
     while np.any(u == 0.0):  # zero weight has probability ~2^-53; keep (0,1]
@@ -203,7 +203,7 @@ def sample_specs(count: int, atom_count: int, rng_seed: int) -> list[HerglotzSpe
     how report witnesses are replayed.
     """
     if count < 1 or atom_count < 1:
-        raise DomainError("count and atom_count must be >= 1")
+        raise ValidationError("count and atom_count must be >= 1")
     root = np.random.default_rng(rng_seed)
     child_seeds = root.integers(0, 2**63 - 1, size=count)
     return [spec_from_seed(int(cs), atom_count) for cs in child_seeds]

@@ -12,7 +12,7 @@ from secradius.bounds import (
     k_tail,
     tail_derivative_bound,
 )
-from secradius.exceptions import DomainError
+from secradius.exceptions import ValidationError
 from secradius.zoo import f0, sample_specs, synthesize_F
 
 
@@ -45,9 +45,9 @@ def test_coeff_bound_attained_by_extremal():
 
 
 def test_coeff_bound_domain():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         coeff_bound(1)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         coeff_bound(0)
 
 
@@ -80,9 +80,9 @@ def test_envelope_sharp_for_extremal_derivative():
 
 
 def test_envelope_domain():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         deriv_envelope(-0.1)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         deriv_envelope(1.0)
 
 
@@ -129,11 +129,11 @@ def test_tail_bound_dominates_actual_tail_derivative():
 
 
 def test_tail_bound_domain():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         tail_derivative_bound(0, 0.5)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         tail_derivative_bound(3, 0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         tail_derivative_bound(3, 1.0)
 
 
@@ -160,7 +160,7 @@ def test_k_tail_strictly_increases():
 
 
 def test_k_tail_domain():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         k_tail(0)
 
 
@@ -192,7 +192,7 @@ def test_cube_series_tail_monotone_in_order():
 
 
 def test_cube_series_tail_domain():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         cube_series_tail(-1, 0.5)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         cube_series_tail(3, 1.0)

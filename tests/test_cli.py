@@ -229,28 +229,34 @@ def test_radius_runtime_errors(tmp_path, capsys):
     assert code == 1
     assert "non-empty" in capsys.readouterr().err
 
-    # unmatched atoms, an index past the end and a missing key are refused,
-    # each by a message that names the fault
-    mismatched = tmp_path / "mismatched.json"
-    mismatched.write_text(
-        json.dumps({"specs": [{"weights": [0.5, 0.5], "points": [[1, 0], [-1, 0], [0, 1]]}]})
-    )
-    no_points = tmp_path / "no_points.json"
-    no_points.write_text(json.dumps({"specs": [{"weights": [1.0]}]}))
-    one = tmp_path / "one.json"
-    one.write_text(json.dumps([{"weights": [1.0], "points": [[1, 0]]}]))
-    for path, extra, message in (
-        (mismatched, [], "matching"),
-        (no_points, [], f"spec entry 0 has no 'points'; entries in {no_points}: 1"),
-        (one, ["--index", "5"], f"--index 5 is out of range; entries in {one}: 1"),
+    # unmatched atoms, an index past the end, a missing key and every
+    # malformed shape are refused, each by one error line that names the
+    # fault ({} stands for the file), never by a traceback
+    atom = {"weights": [1.0], "points": [[1, 0]]}
+    pairs = "points must be [re, im] number pairs; entries in {}: 1"
+    for document, extra, message in (
+        ({"specs": [{"weights": [0.5, 0.5], "points": [[1, 0], [-1, 0], [0, 1]]}]}, [],
+         "matching"),
+        ({"specs": [{"weights": [1.0]}]}, [], "spec entry 0 has no 'points'; entries in {}: 1"),
+        ([atom], ["--index", "5"], "--index 5 is out of range; entries in {}: 1"),
+        ({"spec": [atom]}, [], "{} holds no list of spec entries"),
+        (5, [], "{} holds no list of spec entries"),
+        ({"specs": [5]}, [], "spec entry 0 is not an object; entries in {}: 1"),
+        ({"specs": [{"weights": [1.0], "points": [1.0]}]}, [], "spec entry 0: " + pairs),
+        ({"specs": [{"weights": [1.0], "points": [[None, 0]]}]}, [], "spec entry 0: " + pairs),
+        ({"specs": [atom, {"weights": ["1"], "points": [[1, 0]]}]}, ["--index", "1"],
+         "spec entry 1: weights must be numbers; entries in {}: 2"),
     ):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(document))
         code = main(
             ["radius", "--function", "spec-file", "--spec-file", str(path),
              "--section", "3", "--criterion", "starlike", *extra]
         )
-        assert code == 1
-        assert message in capsys.readouterr().err
-
+        err = capsys.readouterr().err
+        assert code == 1, document
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert message.format(path) in err
 
 # ---------------------------------------------------------------------------
 # sample + spec-file round trip

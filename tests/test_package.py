@@ -20,3 +20,14 @@ def test_series_surface_is_the_type_and_its_sections():
     z = series.TruncatedSeries([0, 1])
     with pytest.raises(TypeError):
         z + z
+
+
+def test_exceptions_surface_is_one_input_error_and_the_numerical_failures():
+    assert exceptions.__all__ == [
+        "SecradiusError",
+        "ValidationError",
+        "PoleProximityError",
+        "ZeroOnCircleError",
+        "CrossCheckError",
+    ]
+    assert issubclass(exceptions.ValidationError, ValueError)

@@ -7,12 +7,7 @@ import numpy as np
 import pytest
 
 import secradius.radius as radius_module
-from secradius.exceptions import (
-    DomainError,
-    PoleProximityError,
-    ValidationError,
-    ZeroOnCircleError,
-)
+from secradius.exceptions import PoleProximityError, ValidationError, ZeroOnCircleError
 from secradius.radius import (
     RADIUS_CAP,
     BoundaryScan,
@@ -340,9 +335,9 @@ def test_newton_refinement_takes_few_evaluations(monkeypatch):
 
 
 def test_boundary_min_domain_checks():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         boundary_min(S2, Criterion.RE_DERIV, 0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         boundary_min(S2, Criterion.RE_DERIV, 1.0)
     with pytest.raises(ValidationError):
         boundary_min(S2, Criterion.RE_DERIV, 0.5, grid_size=8)
@@ -398,9 +393,9 @@ def test_count_zeros_double_root():
 
 
 def test_count_zeros_domain():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         count_zeros(S2, 0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         count_zeros(S2, 1.0)
 
 
@@ -775,6 +770,11 @@ def test_radius_validation():
     for tol in (1e-13, math.nan, math.inf):
         with pytest.raises(ValidationError):
             criterion_radius(S2, Criterion.RE_DERIV, tol=tol)
+    # local univalence and a zero guard bound scan no circle, so the grid is
+    # checked on entry, for every criterion
+    for criterion in Criterion:
+        with pytest.raises(ValidationError, match="at least 16 points"):
+            criterion_radius(S2, criterion, grid_size=3)
 
 
 def test_radius_accepts_string_criterion():

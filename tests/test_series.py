@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from secradius.exceptions import OrderError, ValidationError
+from secradius.exceptions import ValidationError
 from secradius.series import TruncatedSeries, is_normalized, section
 
 try:
@@ -93,7 +93,7 @@ def test_section_of_full_order_is_identity_map():
 def test_section_bounds():
     s = TruncatedSeries([0, 1, 2, 3])
     for bad in (0, 4, -1):
-        with pytest.raises(OrderError):
+        with pytest.raises(ValidationError):
             section(s, bad)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 import secradius.verify as verify
 from secradius.bounds import k_tail
-from secradius.exceptions import CrossCheckError, DomainError, ValidationError
+from secradius.exceptions import CrossCheckError, ValidationError
 from secradius.radius import Criterion, boundary_min, criterion_radius
 from secradius.series import section
 from secradius.verify import (
@@ -155,9 +155,9 @@ def test_min_re_cube_kernel_cross_check_guard(monkeypatch):
 
 
 def test_cube_min_domain():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         cube_min_by_boundary(0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         cube_min_by_boundary(1.0)
 
 
@@ -435,9 +435,9 @@ def test_figure_curve_known_points():
 
 
 def test_figure_curve_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         figure1_curves(0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         figure1_curves(1.0)
     with pytest.raises(ValidationError):
         figure1_curves(0.5, samples=4)

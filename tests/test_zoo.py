@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from secradius.bounds import cube_series_tail
-from secradius.exceptions import DomainError, ValidationError
+from secradius.exceptions import ValidationError
 from secradius.series import section
 from secradius.zoo import (
     GENERATOR_NAME,
@@ -78,7 +78,7 @@ def test_cube_kernel_value_at_minus_third():
 
 def test_order_validation():
     for fn in (koebe, half_plane, f0, cube_kernel):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             fn(0)
 
 
@@ -116,7 +116,7 @@ def test_p_coeffs_single_atom():
     p = p_coeffs(spec, 5)
     assert p[0] == 1.0
     np.testing.assert_allclose(p[1:], 2.0 * np.ones(5), atol=1e-15)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         p_coeffs(spec, -1)
 
 
@@ -133,7 +133,7 @@ def test_roots_of_unity_spec_kills_low_coefficients():
     np.testing.assert_allclose(spec.weights, np.full(7, 1.0 / 7.0))
     p = p_coeffs(spec, 6)
     np.testing.assert_allclose(p[1:], np.zeros(6), atol=1e-14)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         roots_of_unity_spec(0)
 
 
@@ -271,11 +271,11 @@ def test_child_seed_regenerates_spec():
 
 
 def test_sample_specs_validates_arguments():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         sample_specs(0, 3, rng_seed=1)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         sample_specs(3, 0, rng_seed=1)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         spec_from_seed(1, 0)
 
 
