@@ -17,30 +17,23 @@ Local univalence has no field: it asks only that s' be zero-free, and the
 certified guard bound of s' (below) is its radius.
 
 Each field is harmonic wherever its defining quotient is analytic, so its
-minimum over a closed disc sits on the bounding circle.  Every field is
-built from at most two polynomials, a numerator and a denominator, whose
-coefficients come from one table.  One routine, :func:`_circle_min`,
-locates the minimum over a circle of any such (numerator, denominator)
-field: a uniform grid scan, whose values come from one inverse FFT per
-polynomial, followed by safeguarded Newton steps on the field's
-theta-derivative near the grid argmin; one Horner pass per polynomial gives
-its value and first two derivatives at a point, and the field's
-theta-derivatives follow from them in closed form.  :func:`boundary_min`
-runs it on a criterion field, and ``verify`` on the constants g and
-Re (1-z)^{-3}.  The refinement looks only near the grid argmin, so a
-negative arc of the field narrower than a grid cell elsewhere on the
-circle can go unseen.
+minimum over a closed disc sits on the bounding circle.  Every field is a
+numerator and at most one denominator polynomial from one table, and
+:func:`_field_scan` prepares such a field once per solve.  Each circle then
+costs one inverse FFT of the stacked coefficient rows for a grid scan, and
+safeguarded Newton steps near the grid argmin, each one Horner pass over
+both polynomials; :func:`boundary_min` and ``verify``'s scans of g and
+Re (1-z)^{-3} are one-probe cases.  A negative arc of the field narrower
+than a grid cell, away from the grid argmin, can go unseen.
 
 :func:`criterion_radius` solves for the radius where the boundary minimum
-changes sign, inside the bracket [0, rho): rho is a certified lower bound on
-the root moduli of the denominator (the *guard*), below which no pole of the
-field enters the disc and a positive boundary minimum proves the criterion.
-It comes from Gerschgorin discs around the ``np.roots`` approximations to
-the guard's zeros (:func:`_root_discs`), so it holds however far those
-approximations are off.  On that bracket the minimum is non-increasing in
-r, so a safeguarded regula falsi on the boundary scans alone finds the
-radius; no zero count is needed.  :func:`count_zeros` counts the zeros
-inside a circle on the same discs, exactly unless a disc meets the circle.
+changes sign, inside [0, rho): rho is a certified lower bound on the root
+moduli of the denominator (the *guard*), from Gerschgorin discs around the
+``np.roots`` approximations (:func:`_root_discs`), so no pole enters the
+disc and a positive boundary minimum proves the criterion.  There the
+minimum is non-increasing in r, and a safeguarded regula falsi on the scans
+alone finds the radius.  :func:`count_zeros` counts the zeros inside a
+circle on the same discs, exactly unless a disc meets the circle.
 """
 
 from __future__ import annotations
@@ -49,6 +42,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import zip_longest
 from typing import Callable
 
 import numpy as np
@@ -74,7 +68,7 @@ RADIUS_CAP = 1.0 - 1e-6
 _POLE_TOL = 1e-300
 _UNIT_ROUNDOFF = 2.0**-53
 _GOLDEN_XTOL = 1e-12  # bracket width at which golden_section_min stops
-_THETA_TOL = 1e-12  # Newton step at which _circle_min stops
+_THETA_TOL = 1e-12  # Newton step at which a _field_scan probe stops
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _TWO_PI = 2.0 * math.pi
 
@@ -103,12 +97,11 @@ class RadiusResult:
     """Outcome of a radius solve for the largest good disc.
 
     ``radius`` is the largest radius at which the criterion was verified to
-    hold; provided the scan grid resolves every negative arc of the field,
-    the true radius exceeds it by at most ``tol``, except that a criterion
-    holding at the cap reports radius 1.0 with ``clamped`` set.  A negative
-    arc narrower than a grid cell, away from the grid argmin, goes unseen
-    and the radius errs large (see the strict xfail
-    ``test_starlike_radius_errs_small_when_the_grid_misses_a_narrow_dip``).
+    hold, at most ``tol`` below the true one provided the scan grid resolves
+    every negative arc of the field; a criterion holding at the cap reports
+    1.0 with ``clamped`` set.  A negative arc narrower than a grid cell, away
+    from the grid argmin, goes unseen and the radius errs large (the strict
+    xfail ``test_starlike_radius_errs_small_when_the_grid_misses_a_narrow_dip``).
     ``witness`` is the boundary scan of the probe that certified the radius
     (None when even tiny discs fail, when nothing bounds the guard's zeros
     away from 0, and for local univalence, which probes nothing).
@@ -174,7 +167,7 @@ def _field_parts(
     """Coefficients (num, den) of the polynomials that make up the field.
 
     The field is Re num when ``den`` is None and Re(num/den) otherwise;
-    :func:`_point_jet` and :func:`_grid_field` evaluate it.  ``den`` is also
+    :func:`_point_jet` and :func:`_field_scan` evaluate it.  ``den`` is also
     the guard polynomial whose zeros inside the disc void the boundary
     argument.  For starlikeness num(0)/den(0) = c_1/c_1, so z = 0 needs no
     special case.  Local univalence has no field (its radius is the guard
@@ -194,24 +187,11 @@ def _field_parts(
     return ds, c[1:]
 
 
-def _horner_jet(rev: list, z: complex) -> tuple[complex, complex, complex]:
-    """p(z), p'(z) and p''(z) in one Horner pass over the reversed coefficients."""
-    p = d1 = d2 = 0j
-    for c in rev:
-        d2 = d2 * z + d1
-        d1 = d1 * z + p
-        p = p * z + c
-    return p, d1, 2.0 * d2
-
-
 def _re_theta_jet(
     z: complex, h: complex, h1: complex, h2: complex
 ) -> tuple[float, float, float]:
-    """Re h and its first two theta-derivatives at z = r e^{i theta}.
-
-    ``h1`` and ``h2`` are h'(z) and h''(z); along the circle
-    d/dtheta h = i z h' and d^2/dtheta^2 h = -z h' - z^2 h''.
-    """
+    """Re h and its first two theta-derivatives at z = r e^{i theta}, from h1 = h'(z)
+    and h2 = h''(z): d/dtheta h = i z h' and d^2/dtheta^2 h = -z h' - z^2 h''."""
     zh1 = z * h1
     return h.real, -zh1.imag, -(zh1 + z * z * h2).real
 
@@ -220,98 +200,112 @@ def _point_jet(parts: tuple) -> Callable[[complex], tuple[float, float, float]]:
     """Closure giving (phi, phi', phi'') at a point for :func:`_field_parts` output.
 
     phi is the field and the primes are theta-derivatives along the circle
-    through the point.  Plain-Python Horner on pre-reversed coefficient
-    lists: for the short polynomials handled here this beats assembling
-    numpy arrays point by point inside the refinement loop.
+    through the point.  One plain-Python Horner pass from the highest power
+    gives each polynomial's value and first two derivatives, a quotient's
+    numerator and denominator in one loop (the shorter padded with zeros);
+    for the short polynomials here this beats numpy arrays point by point.
     """
-    rev_num, rev_den = (None if p is None else p[::-1].tolist() for p in parts)
-    if rev_den is None:
-        return lambda z: _re_theta_jet(z, *_horner_jet(rev_num, z))
+    num, den = parts
+    if den is None:
+        rev = num[::-1].tolist()
+
+        def field(z: complex) -> tuple[float, float, float]:
+            p = p1 = p2 = 0j
+            for c in rev:
+                p2 = p2 * z + p1
+                p1 = p1 * z + p
+                p = p * z + c
+            return _re_theta_jet(z, p, p1, 2.0 * p2)
+
+        return field
+    pairs = list(zip_longest(num.tolist(), den.tolist(), fillvalue=0j))[::-1]
 
     def quotient(z: complex) -> tuple[float, float, float]:
-        d, d1, d2 = _horner_jet(rev_den, z)
+        n = n1 = n2 = d = d1 = d2 = 0j
+        for a, b in pairs:
+            n2 = n2 * z + n1
+            n1 = n1 * z + n
+            n = n * z + a
+            d2 = d2 * z + d1
+            d1 = d1 * z + d
+            d = d * z + b
         if abs(d) < _POLE_TOL:
             raise PoleProximityError(z, "field denominator vanishes at the point")
-        n, n1, n2 = _horner_jet(rev_num, z)
         q = n / d
         q1 = (n1 - q * d1) / d
-        q2 = (n2 - 2.0 * q1 * d1 - q * d2) / d
+        q2 = (2.0 * n2 - 2.0 * q1 * d1 - q * (2.0 * d2)) / d
         return _re_theta_jet(z, q, q1, q2)
 
     return quotient
 
 
-def _circle_values(coeffs: np.ndarray, r: float, grid: int) -> np.ndarray:
-    """Values of the polynomial with ``coeffs`` at r times the grid-th roots of unity.
+def _field_scan(parts: tuple, grid: int) -> Callable[[float], tuple[float, float]]:
+    """``scan(r) -> (value, theta)``, the minimum of the field of ``parts`` on |z| = r.
 
-    One inverse FFT.  Powers m and m + grid meet the same roots, so a longer
-    coefficient array is folded modulo ``grid`` first; ``ifft(n=grid)``
-    alone would truncate it.
+    ``parts`` comes from :func:`_field_parts`; its zero-padded coefficient
+    rows, their exponents and its jet are prepared once.  ``scan.field(r)``
+    is the field at the angles 2 pi k / grid: one row-wise inverse FFT of the
+    r-scaled rows, folded modulo ``grid`` when longer (powers m and m + grid
+    meet the same roots).  Newton steps on :func:`_point_jet` start at the
+    grid argmin (the least theta on ties), inside its two adjacent cells:
+    each moves the bracket end on the derivative's side, and a step that is
+    not Newton with positive finite second derivative inside the bracket is
+    its midpoint.  A step of at most ``_THETA_TOL`` stops, tested before the
+    bracket (the Newton step at a grid-point minimum can round onto its
+    end).  The least (value, theta) evaluated, the grid point included, is
+    returned with theta in [0, 2*pi), mirrored into [0, pi] when every
+    coefficient is real (the field is then even in theta), so rounding
+    cannot decide which of two equal minima a report names.
     """
-    scaled = coeffs * r ** np.arange(coeffs.size)
-    if scaled.size > grid:
-        scaled = np.pad(scaled, (0, -scaled.size % grid)).reshape(-1, grid).sum(axis=0)
-    return np.fft.ifft(scaled, n=grid, norm="forward")
-
-
-def _grid_field(parts: tuple, r: float, grid: int) -> np.ndarray:
-    """Field of ``parts`` at the angles 2 pi k / grid on the circle |z| = r."""
-    num, den = (None if p is None else _circle_values(p, r, grid) for p in parts)
-    if den is None:
-        return num.real
-    bad = int(np.argmin(np.abs(den)))
-    if abs(den[bad]) < _POLE_TOL:
-        z = cmath.rect(r, bad * _TWO_PI / grid)
-        raise PoleProximityError(z, "field denominator vanishes on the scan circle")
-    return (num / den).real
-
-
-def _circle_min(parts: tuple, r: float, grid: int) -> tuple[float, float]:
-    """Minimum over the circle |z| = r of the field of ``parts``; (value, theta).
-
-    ``parts`` is a (num, den) pair as returned by :func:`_field_parts`.  The
-    field is sampled by :func:`_grid_field` at the ``grid`` angles
-    2 pi k / grid, and :func:`_point_jet` gives its first two
-    theta-derivatives.  Starting at the grid argmin (the smallest theta on
-    exact ties), each evaluation moves one end of the bracket formed by the
-    two adjacent cells to the evaluated point, by the sign of the
-    derivative.  The next point is the Newton step when the second
-    derivative is positive and finite and the step stays inside the
-    bracket, else the bracket's midpoint.  The search stops at a step of at
-    most ``_THETA_TOL``, tested before the bracket: at a minimum on a grid
-    point the Newton step can round onto the bracket's end.  Returns the
-    lexicographic minimum of (value, theta) over everything evaluated, the
-    grid point included, with theta wrapped into [0, 2*pi).  When every
-    coefficient is real the field is even in theta, so theta is reported as
-    the mirror angle in [0, pi], so rounding cannot decide which of the two
-    equal minima a report names.
-    """
-    vals = _grid_field(parts, r, grid)
+    size = max(p.size for p in parts if p is not None)
+    pad = [p if p.size == size else np.pad(p, (0, size - p.size)) for p in parts if p is not None]
+    rows = np.array(pad, dtype=np.complex128)
+    powers = np.arange(rows.shape[1], dtype=np.float64)
     jet = _point_jet(parts)
+    mirror = not np.count_nonzero(rows.imag)
     step = _TWO_PI / grid
-    k = int(np.argmin(vals))
-    theta = k * step
-    lo, hi = theta - step, theta + step
-    best = (float(vals[k]), theta)
-    while True:
-        value, d1, d2 = jet(cmath.rect(r, theta))
-        best = min(best, (value, theta))
-        if d1 > 0.0:
-            hi = theta
-        else:
-            lo = theta
-        dt = -d1 / d2 if 0.0 < d2 < math.inf else math.nan
-        if not (abs(dt) <= _THETA_TOL or lo < theta + dt < hi):
-            dt = 0.5 * (lo + hi) - theta
-        if abs(dt) <= _THETA_TOL:
-            break
-        theta += dt
-    theta = best[1] % _TWO_PI
-    if theta > math.pi and not any(
-        np.count_nonzero(p.imag) for p in parts if p is not None
-    ):
-        theta = _TWO_PI - theta
-    return best[0], theta
+
+    def field(r: float) -> np.ndarray:
+        scaled = rows * r**powers
+        if scaled.shape[1] > grid:
+            scaled = np.pad(scaled, ((0, 0), (0, -scaled.shape[1] % grid)))
+            scaled = scaled.reshape(len(rows), -1, grid).sum(axis=1)
+        values = np.fft.ifft(scaled, n=grid, norm="forward")
+        if len(values) == 1:
+            return values[0].real
+        num, den = values
+        bad = int(np.abs(den).argmin())
+        if abs(den[bad]) < _POLE_TOL:
+            z = cmath.rect(r, bad * step)
+            raise PoleProximityError(z, "field denominator vanishes on the scan circle")
+        return (num / den).real
+
+    def scan(r: float) -> tuple[float, float]:
+        vals = field(r)
+        k = int(vals.argmin())
+        theta = k * step
+        lo, hi = theta - step, theta + step
+        best = (float(vals[k]), theta)
+        while True:
+            value, d1, d2 = jet(cmath.rect(r, theta))
+            best = min(best, (value, theta))
+            if d1 > 0.0:
+                hi = theta
+            else:
+                lo = theta
+            dt = -d1 / d2 if 0.0 < d2 < math.inf else math.nan
+            if not (abs(dt) <= _THETA_TOL or lo < theta + dt < hi):
+                dt = 0.5 * (lo + hi) - theta
+            if abs(dt) <= _THETA_TOL:
+                break
+            theta += dt
+        theta = best[1] % _TWO_PI
+        if theta > math.pi and mirror:
+            theta = _TWO_PI - theta
+        return best[0], theta
+
+    scan.field = field
+    return scan
 
 
 def boundary_min(
@@ -319,18 +313,17 @@ def boundary_min(
 ) -> BoundaryScan:
     """Minimum of the criterion field over the circle |z| = r.
 
-    A uniform scan of ``grid_size`` angles picks the coarse minimizer, and
-    safeguarded Newton steps on the field's analytic theta-derivative refine
-    it inside the two adjacent grid cells until a step is at most
-    ``_THETA_TOL`` = 1e-12; :func:`_circle_min` gives the tie and wrapping
-    rules (on a real-coefficient section theta lies in [0, pi]).
+    A uniform scan of ``grid_size`` angles, refined by safeguarded Newton
+    steps near its argmin: the one-probe case of :func:`_field_scan`, which
+    gives the tie and wrapping rules (on a real-coefficient section theta
+    lies in [0, pi]).
     """
     criterion = Criterion(criterion)
     if not 0.0 < r < 1.0:
         raise ValidationError(f"scan radius must lie in (0, 1), got {r}")
     if grid_size < 16:
         raise ValidationError(f"grid must have at least 16 points, got {grid_size}")
-    value, theta = _circle_min(_field_parts(s, criterion), r, grid_size)
+    value, theta = _field_scan(_field_parts(s, criterion), grid_size)(r)
     return BoundaryScan(r=r, grid_size=grid_size, min_value=value, argmin_theta=theta)
 
 
@@ -373,15 +366,14 @@ def criterion_radius(
     A radius passes when the boundary minimum m(r) is strictly positive and
     the guard polynomial (the field's denominator, see :func:`_field_parts`)
     has no zeros inside the disc.  :func:`_guard_bound` gives a certified
-    lower bound ``rho`` on the guard's root moduli, so on [0, rho) the guard
-    is zero-free by construction, the field is harmonic on the disc and m is
-    non-increasing.  So one :func:`_bracket_root` call searches
-    [0, min(rho, cap)] on m alone, ``rho`` failing unprobed because the field
-    at a guard zero can look positive; a cap below ``rho`` is probed first,
-    and passing there clamps.  Every probe lies strictly below ``rho``, so no
-    probed circle meets a pole.  A bound of 0 (coincident root
-    approximations) leaves the empty bracket [0, 0]: radius 0.0, no
-    witness, no probe.
+    lower bound ``rho`` on the guard's root moduli, so on [0, rho) the field
+    is harmonic on the disc and m is non-increasing.  The field is prepared
+    once (:func:`_field_scan`), and one :func:`_bracket_root` call probes it
+    on [0, min(rho, cap)], ``rho`` failing unprobed because the field at a
+    guard zero can look positive; a cap below ``rho`` is probed first, and
+    passing there clamps.  No probed circle meets a pole.  A bound of 0
+    (coincident root approximations) leaves the empty bracket [0, 0]:
+    radius 0.0, no witness, no probe.
 
     Local univalence asks only that the guard s' be zero-free, which is what
     ``rho`` certifies: its radius is ``rho`` itself, with no probe and no
@@ -404,19 +396,16 @@ def criterion_radius(
         rho = _guard_bound(s.coeffs[1:] * np.arange(1, s.coeffs.size))
         clamped = rho > RADIUS_CAP
         return RadiusResult(1.0 if clamped else rho, None, 0, tol, clamped)
-    den = _field_parts(s, criterion)[1]
-    rho = math.inf if den is None else _guard_bound(den)
-
-    def value(r: float) -> tuple[float, BoundaryScan]:
-        scan = boundary_min(s, criterion, r, grid_size)
-        return scan.min_value, scan
-
+    parts = _field_parts(s, criterion)
+    rho = math.inf if parts[1] is None else _guard_bound(parts[1])
+    scan = _field_scan(parts, grid_size)
     f_cap = -math.inf
     if rho > RADIUS_CAP:
-        f_cap, scan = value(RADIUS_CAP)
+        f_cap, theta = scan(RADIUS_CAP)
         if f_cap > 0.0:
-            return RadiusResult(1.0, scan, 1, tol, clamped=True)
-    r, witness, probes = _bracket_root(value, min(rho, RADIUS_CAP), f_cap, tol)
+            return RadiusResult(1.0, BoundaryScan(RADIUS_CAP, grid_size, f_cap, theta), 1, tol, True)
+    r, found, probes = _bracket_root(scan, min(rho, RADIUS_CAP), f_cap, tol)
+    witness = None if found is None else BoundaryScan(r, grid_size, *found)
     return RadiusResult(r, witness, probes + (rho > RADIUS_CAP), tol, clamped=False)
 
 
@@ -462,7 +451,8 @@ def _root_discs(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     |a_i - w_i| + (d - 1)|w_i| + d E_i; coincident approximations make w_i
     infinite and the moduli not numbers.
     """
-    p = np.trim_zeros(coeffs, "b")[::-1]
+    nonzero = np.flatnonzero(coeffs)
+    p = coeffs[: nonzero[-1] + 1 if nonzero.size else 0][::-1]
     d = p.size - 1
     if d < 1:
         return np.empty(0), np.empty(0)
@@ -481,13 +471,13 @@ def _root_discs(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _bracket_root(
-    probe: Callable[[float], tuple[float, object]], hi: float, f_hi: float, tol: float
-) -> tuple[float, object, int]:
+    probe: Callable[[float], tuple], hi: float, f_hi: float, tol: float
+) -> tuple[float, tuple | None, int]:
     """Largest passing radius in [0, hi] to within ``tol``.
 
-    ``probe(r)`` returns (f, data) and r passes when f > 0.  The bracket
-    starts from lo = 0, which passes with f = 1 (c_1 of a normalized series),
-    and ``hi``, which fails with value ``f_hi`` (-inf when it has none).
+    ``probe(r)`` returns a tuple (f, ...) and r passes when f > 0.  The
+    bracket starts from lo = 0, which passes with f = 1 (c_1 of a normalized
+    series), and ``hi``, which fails with value ``f_hi`` (-inf if it has none).
     Steps are Anderson-Bjorck regula falsi: the secant root of the bracket's
     values, where an end kept twice in a row has its value scaled down so
     that both ends close in.  A step bisects instead while the failing end
@@ -496,8 +486,8 @@ def _bracket_root(
     secant step that fails to shrink the bracket would leave too few probes
     to finish by bisection; so a solve never takes more than
     ceil(log2(max(hi, tol) / tol)) + 4 probes, and none when hi = 0.  Stops
-    when hi - lo <= tol and returns (lo, the data of the probe at lo or None
-    when lo = 0, probes made).
+    when hi - lo <= tol and returns (lo, the tuple of the probe at lo or
+    None when lo = 0, probes made).
     """
     lo, f_lo, data = 0.0, 1.0, None
     budget = math.ceil(math.log2(max(hi, tol) / tol)) + 4
@@ -509,12 +499,13 @@ def _bracket_root(
         if probes and math.isfinite(f_hi) and secant_ok:
             x = (f_hi * lo - f_lo * hi) / (f_hi - f_lo)
             x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
-        f, info = probe(x)
+        found = probe(x)
+        f = found[0]
         probes += 1
         if f > 0.0:
             if passed_last:
                 f_hi *= _ab_factor(f, f_lo)
-            lo, f_lo, data = x, f, info
+            lo, f_lo, data = x, f, found
         else:
             if passed_last is False and math.isfinite(f_hi):
                 f_lo *= _ab_factor(f, f_hi)

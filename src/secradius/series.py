@@ -29,11 +29,9 @@ class TruncatedSeries:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.array(self.coeffs, dtype=np.complex128, copy=True)
+        c = _numbers(self.coeffs, np.complex128, "coeffs")
         if c.ndim != 1 or c.size == 0:
             raise ValidationError("coeffs must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(c)):
-            raise ValidationError("coeffs must be finite")
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
@@ -44,6 +42,18 @@ class TruncatedSeries:
     def __repr__(self):
         head = np.array2string(self.coeffs[:4], precision=6, separator=", ")
         return f"TruncatedSeries(order={self.order}, coeffs={head}...)"
+
+
+def _numbers(values, dtype: type, name: str) -> np.ndarray:
+    """A finite copy of ``values`` as ``dtype`` (float64 or complex128) from bool,
+    integer, float or (for complex128) complex input only, else ValidationError."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "biuf" + np.dtype(dtype).kind:
+        raise ValidationError(f"{name} must be numbers, not {a.dtype}")
+    a = np.array(a, dtype=dtype)
+    if not np.all(np.isfinite(a)):
+        raise ValidationError(f"{name} must be finite")
+    return a
 
 
 def is_normalized(s: TruncatedSeries, tol: float = 1e-12) -> bool:

@@ -36,7 +36,7 @@ from .exceptions import CrossCheckError, ValidationError
 from .radius import (
     Criterion,
     RadiusResult,
-    _circle_min,
+    _field_scan,
     boundary_min,
     criterion_radius,
     golden_section_min,
@@ -140,7 +140,7 @@ def min_g() -> VerificationItem:
 
     g is Re(1 + z + z^2/2) on |z| = 1, scanned like any boundary field.
     """
-    value, theta = _circle_min((np.array([1.0, 1.0, 0.5]), None), 1.0, _GRID)
+    value, theta = _field_scan((np.array([1.0, 1.0, 0.5]), None), _GRID)(1.0)
     return make_item(
         "min_g", value, expected=0.25, tolerance=1e-10, witness=(1.0, theta)
     )
@@ -191,7 +191,7 @@ def cube_min_by_boundary(r: float) -> tuple[float, float]:
     """
     if not 0.0 < r < 1.0:
         raise ValidationError(f"radius must lie in (0, 1), got {r}")
-    return _circle_min((np.ones(1), np.array([1.0, -3.0, 3.0, -1.0])), r, _GRID)
+    return _field_scan((np.ones(1), np.array([1.0, -3.0, 3.0, -1.0])), _GRID)(r)
 
 
 def cube_min_by_cubic() -> float:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ValidationError
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _numbers
 
 __all__ = [
     "HerglotzSpec",
@@ -65,8 +65,8 @@ class HerglotzSpec:
     seed: int | None = None
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=np.float64, copy=True)
-        x = np.array(self.points, dtype=np.complex128, copy=True)
+        w = _numbers(self.weights, np.float64, "weights")
+        x = _numbers(self.points, np.complex128, "points")
         if w.ndim != 1 or x.ndim != 1 or w.size == 0 or w.shape != x.shape:
             raise ValidationError("weights and points must be matching non-empty 1-D arrays")
         if np.any(w <= 0.0) or np.any(w > 1.0):
@@ -88,9 +88,7 @@ class HerglotzSpec:
     def from_atoms(cls, atoms, seed=None) -> "HerglotzSpec":
         """Build from an iterable of (weight, point) pairs."""
         pairs = list(atoms)
-        ws = [w for w, _ in pairs]
-        xs = [x for _, x in pairs]
-        return cls(np.asarray(ws), np.asarray(xs), seed)
+        return cls([w for w, _ in pairs], [x for _, x in pairs], seed)
 
 
 def _check_order(n: int) -> int:

@@ -13,9 +13,10 @@ from secradius.radius import (
     BoundaryScan,
     Criterion,
     _field_parts,
-    _grid_field,
+    _field_scan,
     _guard_bound,
     _point_jet,
+    _root_discs,
     boundary_min,
     count_zeros,
     criterion_radius,
@@ -211,7 +212,7 @@ def _grid_cases():
 def test_grid_field_matches_point_values(criterion):
     """The FFT grid path and the Horner point path give the same field."""
     for s, r, grid in _grid_cases():
-        vals = _grid_field(_field_parts(s, criterion), r, grid)
+        vals = _field_scan(_field_parts(s, criterion), grid).field(r)
         expected = np.array(
             [
                 criterion_value(s, criterion, cmath.rect(r, 2.0 * math.pi * k / grid))
@@ -258,9 +259,59 @@ def test_point_jet_derivatives_match_differences(criterion):
         thetas = 2.0 * math.pi * np.arange(grid) / grid
         jets, error = _difference_errors(lambda t: jet(cmath.rect(r, t)), thetas)
         assert error <= 1e-5
-        vals = _grid_field(parts, r, grid)
+        vals = _field_scan(parts, grid).field(r)
         scale = max(1.0, float(np.max(np.abs(vals))))
         assert np.max(np.abs(jets[:, 0] - vals)) <= 1e-12 * scale
+
+
+def _separate_field(parts, r, grid, z):
+    """Reference for :func:`_field_scan`: one inverse FFT and one Horner pass
+    per polynomial, each polynomial on its own, in the same arithmetic."""
+
+    def circle(c):
+        scaled = c * r ** np.arange(c.size)
+        if scaled.size > grid:
+            scaled = np.pad(scaled, (0, -scaled.size % grid)).reshape(-1, grid).sum(axis=0)
+        return np.fft.ifft(scaled, n=grid, norm="forward")
+
+    def horner(c):
+        p = d1 = d2 = 0j
+        for a in c[::-1].tolist():
+            d2 = d2 * z + d1
+            d1 = d1 * z + p
+            p = p * z + a
+        return p, d1, 2.0 * d2
+
+    num, den = parts
+    if den is None:
+        return circle(num).real, radius_module._re_theta_jet(z, *horner(num))
+    (n, n1, n2), (d, d1, d2) = horner(num), horner(den)
+    q = n / d
+    q1 = (n1 - q * d1) / d
+    q2 = (n2 - 2.0 * q1 * d1 - q * d2) / d
+    return (circle(num) / circle(den)).real, radius_module._re_theta_jet(z, q, q1, q2)
+
+
+def test_field_scan_repeats_the_separate_polynomial_arithmetic():
+    """The stacked FFT and the fused Horner loop give, bit for bit, the grid
+    values and jets of one FFT and one Horner pass per polynomial, for the
+    criterion fields and for verify's fields of unequal lengths."""
+    cases = [
+        (_field_parts(s, criterion), r, grid)
+        for s, r, grid in _grid_cases()
+        for criterion in FIELD_CRITERIA
+    ]
+    cube = (np.ones(1), np.array([1.0, -3.0, 3.0, -1.0]))
+    cases += [((np.array([1.0, 1.0, 0.5]), None), 1.0, 2048), (cube, 1.0 / 3.0, 2048)]
+    cases += [(cube, 0.6, 16)]
+    for parts, r, grid in cases:
+        scan = _field_scan(parts, grid)
+        jet = _point_jet(parts)
+        for theta in (0.0, 1.0, 2.5, math.pi):
+            z = cmath.rect(r, theta)
+            values, expected = _separate_field(parts, r, grid, z)
+            assert jet(z) == expected
+        assert np.array_equal(scan.field(r), values)
 
 
 def test_verify_jets_match_differences():
@@ -299,7 +350,7 @@ def test_boundary_min_no_worse_than_golden_refinement():
             parts = _field_parts(s, criterion)
             for r in (0.1, 0.3, 1.0 / 3.0 - 1e-6, 0.45):
                 for grid in (64, 512, 2048):
-                    vals = _grid_field(parts, r, grid)
+                    vals = _field_scan(parts, grid).field(r)
                     k = int(np.argmin(vals))
                     step = 2.0 * math.pi / grid
                     _x, golden = golden_section_min(
@@ -545,7 +596,7 @@ def test_local_univalence_radius_is_the_guard_bound(monkeypatch):
     """On the sampled sections, f0(2..30) and koebe(5..40), the radius is the
     guard bound of s' bit for bit, found without a boundary scan."""
     scans = []
-    monkeypatch.setattr(radius_module, "boundary_min", lambda *a, **k: scans.append(a))
+    monkeypatch.setattr(radius_module, "_field_scan", lambda *a, **k: scans.append(a))
     sections = _sampled_sections() + [f0(n) for n in range(2, 31)]
     sections += [koebe(n) for n in range(5, 41)]
     for s in sections:
@@ -560,13 +611,18 @@ def test_radius_probes_stay_below_the_guard_bound(monkeypatch):
     """Every circle a field criterion's solve scans lies strictly inside the
     guard bound and at most at the cap, so no probe meets a pole."""
     probed = []
-    scan = radius_module.boundary_min
+    build = radius_module._field_scan
 
-    def recording(s, criterion, r, grid_size=2048):
-        probed.append(r)
-        return scan(s, criterion, r, grid_size)
+    def recording_build(parts, grid):
+        scan = build(parts, grid)
 
-    monkeypatch.setattr(radius_module, "boundary_min", recording)
+        def recording(r):
+            probed.append(r)
+            return scan(r)
+
+        return recording
+
+    monkeypatch.setattr(radius_module, "_field_scan", recording_build)
     for s in _sampled_sections():
         for criterion in FIELD_CRITERIA:
             probed.clear()
@@ -577,12 +633,24 @@ def test_radius_probes_stay_below_the_guard_bound(monkeypatch):
             assert all(r < rho and r <= RADIUS_CAP for r in probed)
 
 
+@pytest.mark.parametrize("grid", [64, 512, 2048])
+def test_radius_witness_is_the_boundary_scan_at_its_radius(grid):
+    """A solve's probes and the public scan are one code path: the witness
+    equals boundary_min at the witness radius, field for field."""
+    sections = _sampled_sections() + [f0(n) for n in range(2, 31)]
+    sections += [koebe(n) for n in range(5, 41)]
+    for s in sections:
+        for criterion in FIELD_CRITERIA:
+            witness = criterion_radius(s, criterion, 1e-9, grid).witness
+            assert witness == boundary_min(s, criterion, witness.r, grid)
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
     reason="a negative arc narrower than a grid cell, away from the grid "
     "argmin, goes unseen and the radius errs large; see the FOUND line on "
-    "radius._circle_min in CHANGES.md",
+    "radius._circle_min (now radius._field_scan) in CHANGES.md",
 )
 @pytest.mark.parametrize("index, n", [(38, 29), (36, 16)])
 def test_starlike_radius_errs_small_when_the_grid_misses_a_narrow_dip(index, n):
@@ -647,6 +715,22 @@ def test_radius_coincident_root_approximations_give_zero(monkeypatch):
     res = criterion_radius(S3, Criterion.CONVEXITY)
     assert res.radius == 0.0 and res.witness is None and not res.clamped
     assert res.iterations == 0
+
+
+def test_guard_bound_ignores_zero_high_coefficients():
+    """Zero coefficients of the highest powers change no bit of the root
+    discs; an all-zero or constant guard has no disc and bound inf."""
+    rng = np.random.default_rng(3)
+    for size in (2, 5, 30):
+        coeffs = rng.normal(size=size) + 1j * rng.normal(size=size)
+        for pad in (1, 4):
+            padded = np.concatenate([coeffs, np.zeros(pad)])
+            for got, want in zip(_root_discs(padded), _root_discs(coeffs)):
+                assert np.array_equal(got, want)
+            assert _guard_bound(padded) == _guard_bound(coeffs)
+    for coeffs in (np.zeros(4, dtype=complex), np.array([2.0, 0.0, 0.0]), np.zeros(0)):
+        assert all(d.size == 0 for d in _root_discs(coeffs))
+        assert _guard_bound(coeffs) == math.inf
 
 
 def _dyadic_guard(keys, lead):

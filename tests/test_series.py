@@ -49,6 +49,13 @@ def test_rejects_empty_and_multidimensional():
         TruncatedSeries(np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("coeffs", [[0, "1", "2"], [0, 1, 10**400]])
+def test_rejects_non_numeric_coefficients(coeffs):
+    """Numeric strings and integers beyond float range are a ValidationError."""
+    with pytest.raises(ValidationError):
+        TruncatedSeries(coeffs)
+
+
 def test_rejects_non_finite_coefficients():
     with pytest.raises(ValidationError):
         TruncatedSeries([0.0, np.nan])

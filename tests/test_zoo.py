@@ -1,5 +1,7 @@
 """Unit tests for the canonical functions and the Herglotz-spec generator."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,23 @@ def test_spec_invariants_enforced():
         HerglotzSpec(np.array([1.0]), np.array([1.0 + 0j, 1j]))  # shape mismatch
     with pytest.raises(ValidationError):
         HerglotzSpec(np.array([]), np.array([]))  # empty
+
+
+@pytest.mark.parametrize(
+    "weights, points",
+    [
+        ([math.nan], [1]),  # NaN weight
+        ([1.0], [None]),  # a None point reads as nan+nanj
+        (["0.5", "0.5"], [1, -1]),  # numeric strings
+        ([10**400], [1]),  # an integer beyond float range
+        ([1.0], ["1"]),
+    ],
+)
+def test_spec_rejects_non_finite_and_non_numeric_input(weights, points):
+    """Only finite bool, integer, float (and, for points, complex) input
+    builds a spec; anything else is a ValidationError, not a later failure."""
+    with pytest.raises(ValidationError):
+        HerglotzSpec(weights, points)
 
 
 def test_spec_from_atoms_and_properties():
