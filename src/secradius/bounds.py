@@ -16,7 +16,7 @@ k_tail(4) = -73/216 bounds all later sections.
 
 from __future__ import annotations
 
-from .exceptions import ValidationError
+from .series import _integer, _radius
 
 __all__ = [
     "coeff_bound",
@@ -29,32 +29,27 @@ __all__ = [
 
 def coeff_bound(n: int) -> float:
     """Sharp bound (n+1)/2 on |a_n| over F, for n >= 2."""
-    if n < 2:
-        raise ValidationError(f"coefficient bound defined for n >= 2, got {n}")
+    n = _integer(n, 2, "n")
     return (n + 1) / 2.0
 
 
 def deriv_envelope(r: float) -> tuple[float, float]:
     """Sharp lower/upper bounds (1/(1+r)^3, 1/(1-r)^3) on |f'| at |z| = r."""
-    if not 0.0 <= r < 1.0:
-        raise ValidationError(f"radius must lie in [0, 1), got {r}")
+    r = _radius(r, closed=True)
     return 1.0 / (1.0 + r) ** 3, 1.0 / (1.0 - r) ** 3
 
 
 def tail_derivative_bound(n: int, r: float) -> float:
     """Bound on |sigma_n'| at |z| = r for the tail after the n-th section."""
-    if n < 1:
-        raise ValidationError(f"section index must be >= 1, got {n}")
-    if not 0.0 < r < 1.0:
-        raise ValidationError(f"radius must lie in (0, 1), got {r}")
+    n = _integer(n, 1, "n")
+    r = _radius(r)
     num = n * (n + 1) * r ** (n + 2) - 2 * n * (n + 2) * r ** (n + 1) + (n + 1) * (n + 2) * r**n
     return num / (2.0 * (1.0 - r) ** 3)
 
 
 def k_tail(n: int) -> float:
     """-(2n^2 + 8n + 9) / (8 * 3^(n-1)); equals -tail_derivative_bound(n, 1/3)."""
-    if n < 1:
-        raise ValidationError(f"section index must be >= 1, got {n}")
+    n = _integer(n, 1, "n")
     return -(2.0 * n * n + 8.0 * n + 9.0) / (8.0 * 3.0 ** (n - 1))
 
 
@@ -66,10 +61,8 @@ def cube_series_tail(order: int, r: float) -> float:
     coefficient obeys |c_m| <= (m+1)(m+2)/2, so the dropped terms sum to at
     most this value.
     """
-    if order < 0:
-        raise ValidationError("order must be >= 0")
-    if not 0.0 <= r < 1.0:
-        raise ValidationError(f"radius must lie in [0, 1), got {r}")
+    order = _integer(order, 0, "order")
+    r = _radius(r, closed=True)
     partial = 0.0
     rm = 1.0
     for m in range(order + 1):

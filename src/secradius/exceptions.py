@@ -15,8 +15,10 @@ class SecradiusError(Exception):
 
 
 class ValidationError(SecradiusError, ValueError):
-    """Any rejected argument: a scalar outside its domain, too low an order,
-    a broken structural invariant, or a malformed spec file."""
+    """Any rejected argument: a value of the wrong kind (an order that is not
+    an integer, a radius that is not a real number, an unknown criterion), a
+    scalar outside its domain, too low an order, a broken structural
+    invariant, or a malformed spec file."""
 
 
 class PoleProximityError(SecradiusError, ArithmeticError):

@@ -48,7 +48,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import PoleProximityError, ValidationError, ZeroOnCircleError
-from .series import TruncatedSeries, is_normalized
+from .series import TruncatedSeries, _integer, _numbers, _radius, is_normalized
 
 __all__ = [
     "Criterion",
@@ -80,6 +80,11 @@ class Criterion(str, Enum):
     CONVEXITY = "convex"
     STARLIKENESS = "starlike"
     LOCAL_UNIVALENCE = "local-univalence"
+
+    @classmethod
+    def _missing_(cls, value):
+        names = ", ".join(c.value for c in cls)
+        raise ValidationError(f"criterion must be one of {names}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -319,10 +324,8 @@ def boundary_min(
     lies in [0, pi]).
     """
     criterion = Criterion(criterion)
-    if not 0.0 < r < 1.0:
-        raise ValidationError(f"scan radius must lie in (0, 1), got {r}")
-    if grid_size < 16:
-        raise ValidationError(f"grid must have at least 16 points, got {grid_size}")
+    r = _radius(r)
+    grid_size = _integer(grid_size, 16, "grid_size")
     value, theta = _field_scan(_field_parts(s, criterion), grid_size)(r)
     return BoundaryScan(r=r, grid_size=grid_size, min_value=value, argmin_theta=theta)
 
@@ -342,8 +345,7 @@ def count_zeros(s: TruncatedSeries, r: float) -> int:
     a disc meets the circle or is not finite (coincident root
     approximations): the discs then cannot place a zero on either side.
     """
-    if not 0.0 < r < 1.0:
-        raise ValidationError(f"radius must lie in (0, 1), got {r}")
+    r = _radius(r)
     c = np.trim_zeros(s.coeffs, "b")
     if c.size == 0:
         raise ZeroOnCircleError("the series is identically 0")
@@ -386,12 +388,12 @@ def criterion_radius(
     cap 1 - 1e-6 reports radius 1.0 with ``clamped`` set.
     """
     criterion = Criterion(criterion)
-    if not is_normalized(s, tol=1e-9):
+    if not is_normalized(s):
         raise ValidationError("criterion_radius requires a normalized series")
-    if not 1e-12 <= tol < math.inf:
-        raise ValidationError(f"tolerance must be finite and at least 1e-12, got {tol}")
-    if grid_size < 16:
-        raise ValidationError(f"grid must have at least 16 points, got {grid_size}")
+    tol = float(_numbers(tol, np.float64, "tol"))
+    if tol < 1e-12:
+        raise ValidationError(f"tol must be at least 1e-12, got {tol}")
+    grid_size = _integer(grid_size, 16, "grid_size")
     if criterion is Criterion.LOCAL_UNIVALENCE:
         rho = _guard_bound(s.coeffs[1:] * np.arange(1, s.coeffs.size))
         clamped = rho > RADIUS_CAP

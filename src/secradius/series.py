@@ -45,10 +45,10 @@ class TruncatedSeries:
 
 
 def _numbers(values, dtype: type, name: str) -> np.ndarray:
-    """A finite copy of ``values`` as ``dtype`` (float64 or complex128) from bool,
-    integer, float or (for complex128) complex input only, else ValidationError."""
+    """A finite copy of ``values`` as ``dtype`` (float64 or complex128) from integer,
+    float or (for complex128) complex input only, else ValidationError."""
     a = np.asarray(values)
-    if a.dtype.kind not in "biuf" + np.dtype(dtype).kind:
+    if a.dtype.kind not in "iuf" + np.dtype(dtype).kind:
         raise ValidationError(f"{name} must be numbers, not {a.dtype}")
     a = np.array(a, dtype=dtype)
     if not np.all(np.isfinite(a)):
@@ -56,17 +56,41 @@ def _numbers(values, dtype: type, name: str) -> np.ndarray:
     return a
 
 
-def is_normalized(s: TruncatedSeries, tol: float = 1e-12) -> bool:
-    """True when c_0 = 0 and c_1 = 1 (within ``tol``), i.e. s is a normalized
-    member of the analytic family z + a_2 z^2 + ...  Requires order >= 1."""
+def _integer(value, least: int, name: str) -> int:
+    """``value`` as an int: an int or numpy integer, not a bool, of at least
+    ``least``; else ValidationError.  The one rule for orders, counts, seeds,
+    grid sizes and section indices."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValidationError(f"{name} must be at least {least}, got {value}")
+    return int(value)
+
+
+def _radius(value, closed: bool = False) -> float:
+    """``value`` as a float: a real number, not a bool, in (0, 1), or in [0, 1)
+    when ``closed``; else ValidationError.  The one rule for disc radii."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValidationError(f"radius must be a real number, got {value!r}")
+    r = float(value)
+    if not ((0.0 <= r if closed else 0.0 < r) and r < 1.0):
+        raise ValidationError(f"radius must lie in {'[' if closed else '('}0, 1), got {value}")
+    return r
+
+
+def is_normalized(s: TruncatedSeries) -> bool:
+    """True when c_0 = 0 and c_1 = 1 within 1e-9, the radius solver's rule:
+    s is a normalized member of the analytic family z + a_2 z^2 + ...
+    Requires order >= 1."""
     if s.order < 1:
         return False
-    return abs(s.coeffs[0]) <= tol and abs(s.coeffs[1] - 1.0) <= tol
+    return abs(s.coeffs[0]) <= 1e-9 and abs(s.coeffs[1] - 1.0) <= 1e-9
 
 
 def section(s: TruncatedSeries, n: int) -> TruncatedSeries:
     """The n-th partial sum: coefficients 0..n, order n."""
-    if not 1 <= n <= s.order:
+    n = _integer(n, 1, "section index")
+    if n > s.order:
         raise ValidationError(
             f"section index {n} outside 1..{s.order}; synthesize more coefficients first"
         )

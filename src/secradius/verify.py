@@ -41,7 +41,7 @@ from .radius import (
     criterion_radius,
     golden_section_min,
 )
-from .series import TruncatedSeries, section
+from .series import TruncatedSeries, _integer, _radius, section
 from .zoo import GENERATOR_NAME, HerglotzSpec, f0, koebe, sample_specs, synthesize_F
 
 __all__ = [
@@ -131,8 +131,9 @@ class VerificationReport:
         return all(item.passed for item in self.items)
 
 
-def _g(theta: float) -> float:
-    return 1.0 + math.cos(theta) + 0.5 * math.cos(2.0 * theta)
+def _g(theta):
+    """g(theta) = 1 + cos(theta) + cos(2*theta)/2, at a float or an array of angles."""
+    return 1.0 + np.cos(theta) + 0.5 * np.cos(2.0 * theta)
 
 
 def min_g() -> VerificationItem:
@@ -149,30 +150,22 @@ def min_g() -> VerificationItem:
 def min_T() -> VerificationItem:
     """Global minimum of T(theta, phi) = g(theta) + cos(phi)/6.
 
-    A ``_GRID`` by ``_PHI_GRID`` grid scan (phi enters only through
-    cos(phi), so a coarse phi grid suffices), then a few rounds of
-    coordinate-wise golden refinement polish both angles.
+    T is a sum of a theta term and a phi term, so each angle is minimized
+    alone: the argmin of a ``_GRID``-point theta grid, or a ``_PHI_GRID``-point
+    phi grid (phi enters only through cos(phi), so a coarse grid suffices),
+    then one golden refinement inside the argmin's two adjacent cells.
     """
-    thetas = np.arange(_GRID) * (_TWO_PI / _GRID)
-    phis = np.arange(_PHI_GRID) * (_TWO_PI / _PHI_GRID)
-    gvals = 1.0 + np.cos(thetas) + 0.5 * np.cos(2.0 * thetas)
-    total = gvals[:, None] + (np.cos(phis) / 6.0)[None, :]
-    i, j = np.unravel_index(int(np.argmin(total)), total.shape)
-    tstep = _TWO_PI / _GRID
-    pstep = _TWO_PI / _PHI_GRID
-    th, ph = i * tstep, j * pstep
-    for _ in range(3):
-        th, _v = golden_section_min(
-            lambda t: _g(t) + math.cos(ph) / 6.0, th - tstep, th + tstep
-        )
-        ph, _v = golden_section_min(
-            lambda p: _g(th) + math.cos(p) / 6.0, ph - pstep, ph + pstep
-        )
-    refined = _g(th) + math.cos(ph) / 6.0
-    value, theta = min((float(total[i, j]), i * tstep), (refined, th))
+
+    def minimize(fn: Callable, size: int) -> tuple[float, float]:
+        step = _TWO_PI / size
+        x = step * int(np.argmin(fn(np.arange(size) * step)))
+        return min((fn(x), x), golden_section_min(fn, x - step, x + step)[::-1])
+
+    g_min, theta = minimize(_g, _GRID)
+    cos_min = minimize(lambda phi: np.cos(phi) / 6.0, _PHI_GRID)[0]
     return make_item(
         "min_T",
-        value,
+        g_min + cos_min,
         expected=1.0 / 12.0,
         tolerance=1e-10,
         witness=(1.0, theta % _TWO_PI),
@@ -189,9 +182,7 @@ def cube_min_by_boundary(r: float) -> tuple[float, float]:
     Newton steps shrink only by about a third each and the refinement takes
     about 43 evaluations.
     """
-    if not 0.0 < r < 1.0:
-        raise ValidationError(f"radius must lie in (0, 1), got {r}")
-    return _field_scan((np.ones(1), np.array([1.0, -3.0, 3.0, -1.0])), _GRID)(r)
+    return _field_scan((np.ones(1), np.array([1.0, -3.0, 3.0, -1.0])), _GRID)(_radius(r))
 
 
 def cube_min_by_cubic() -> float:
@@ -332,8 +323,7 @@ def theorem1_suite(
     a near-zero margin at n = 2; the raw minimum is reported as an
     informational item.
     """
-    if n_max < 2:
-        raise ValidationError(f"n_max must be >= 2, got {n_max}")
+    n_max = _integer(n_max, 2, "n_max")
     r = THEOREM1_RADIUS
 
     def margin(s: TruncatedSeries) -> tuple[float, float]:
@@ -394,10 +384,8 @@ def conjecture2_scan(
     (``parameters["counterexample_found"]``), it never turns the conjecture
     into an assertion.
     """
-    if n_min < 2:
-        raise ValidationError(f"sections start at n = 2, got {n_min}")
-    if n_max < n_min:
-        raise ValidationError(f"empty section range [{n_min}, {n_max}]")
+    n_min = _integer(n_min, 2, "n_min")
+    n_max = _integer(n_max, n_min, "n_max")
 
     def starlike(s: TruncatedSeries) -> tuple[float, float]:
         res = criterion_radius(s, Criterion.STARLIKENESS, tol, grid)
@@ -442,10 +430,8 @@ def classical_radius_scan(
     Two items per n: the radius itself (informational) and the threshold
     violation (must be exactly 0).
     """
-    if n_min < 5:
-        raise ValidationError(f"the classical threshold needs n >= 5, got {n_min}")
-    if n_max < n_min:
-        raise ValidationError(f"empty section range [{n_min}, {n_max}]")
+    n_min = _integer(n_min, 5, "n_min")
+    n_max = _integer(n_max, n_min, "n_max")
     items: list[VerificationItem] = []
     for n in range(n_min, n_max + 1):
         res = criterion_radius(koebe(n), Criterion.STARLIKENESS, tol, grid)
@@ -478,11 +464,8 @@ def figure1_curves(r: float, samples: int = 2048) -> np.ndarray:
     traces the same curve; the returned array includes both endpoints
     (theta = 0 and 2*pi), so first and last points coincide.
     """
-    if not 0.0 < r < 1.0:
-        raise ValidationError(f"radius must lie in (0, 1), got {r}")
-    if samples < 8:
-        raise ValidationError(f"need at least 8 samples, got {samples}")
-    thetas = np.linspace(0.0, _TWO_PI, samples)
+    r = _radius(r)
+    thetas = np.linspace(0.0, _TWO_PI, _integer(samples, 8, "samples"))
     return (1.0 + r * np.exp(1j * thetas)) ** 3 / (1.0 - r * r) ** 3
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ValidationError
-from .series import TruncatedSeries, _numbers
+from .series import TruncatedSeries, _integer, _numbers
 
 __all__ = [
     "HerglotzSpec",
@@ -91,21 +91,15 @@ class HerglotzSpec:
         return cls([w for w, _ in pairs], [x for _, x in pairs], seed)
 
 
-def _check_order(n: int) -> int:
-    if n < 1:
-        raise ValidationError(f"series order must be >= 1, got {n}")
-    return int(n)
-
-
 def koebe(order: int) -> TruncatedSeries:
     """z/(1-z)^2: coefficients a_n = n."""
-    n = _check_order(order)
+    n = _integer(order, 1, "order")
     return TruncatedSeries(np.arange(n + 1, dtype=np.float64))
 
 
 def half_plane(order: int) -> TruncatedSeries:
     """z/(1-z): coefficients a_n = 1 for n >= 1."""
-    n = _check_order(order)
+    n = _integer(order, 1, "order")
     c = np.ones(n + 1)
     c[0] = 0.0
     return TruncatedSeries(c)
@@ -113,7 +107,7 @@ def half_plane(order: int) -> TruncatedSeries:
 
 def f0(order: int) -> TruncatedSeries:
     """(z - z^2/2)/(1-z)^2: coefficients a_n = (n+1)/2, the extremal of F."""
-    n = _check_order(order)
+    n = _integer(order, 1, "order")
     c = (np.arange(n + 1) + 1.0) / 2.0
     c[0] = 0.0
     return TruncatedSeries(c)
@@ -121,7 +115,7 @@ def f0(order: int) -> TruncatedSeries:
 
 def cube_kernel(order: int) -> TruncatedSeries:
     """1/(1-z)^3 = f0': coefficient of z^m is (m+1)(m+2)/2."""
-    n = _check_order(order)
+    n = _integer(order, 1, "order")
     m = np.arange(n + 1, dtype=np.float64)
     return TruncatedSeries((m + 1.0) * (m + 2.0) / 2.0)
 
@@ -131,8 +125,7 @@ def p_coeffs(spec: HerglotzSpec, order: int) -> np.ndarray:
 
     p_0 = 1 and p_j = 2 sum_k w_k x_k^j; every |p_j| <= 2.
     """
-    if order < 0:
-        raise ValidationError("order must be >= 0")
+    order = _integer(order, 0, "order")
     powers = spec.points[None, :] ** np.arange(1, order + 1)[:, None]
     p = np.empty(order + 1, dtype=np.complex128)
     p[0] = 1.0
@@ -146,7 +139,7 @@ def synthesize_F(spec: HerglotzSpec, order: int = 64) -> TruncatedSeries:
     The single atom at x = 1 reproduces f0; atoms at the (order+1)-th roots of
     unity with equal weights reproduce the identity (p = 1 up to truncation).
     """
-    n = _check_order(order)
+    n = _integer(order, 1, "order")
     p = p_coeffs(spec, n - 1)
     c = np.zeros(n, dtype=np.complex128)
     c[0] = 1.0
@@ -159,7 +152,7 @@ def synthesize_F(spec: HerglotzSpec, order: int = 64) -> TruncatedSeries:
 
 def rotation(f: TruncatedSeries, mu: complex) -> TruncatedSeries:
     """conj(mu) * f(mu z) for unimodular mu: coefficients c_n -> mu^(n-1) c_n."""
-    mu = complex(mu)
+    mu = complex(_numbers(mu, np.complex128, "mu"))
     if abs(abs(mu) - 1.0) > _UNIT_TOL:
         raise ValidationError(f"rotation factor must be unimodular, got |mu|={abs(mu)!r}")
     factors = np.conj(mu) * mu ** np.arange(f.order + 1)
@@ -174,22 +167,21 @@ def roots_of_unity_spec(k: int) -> HerglotzSpec:
     identity).  Two atoms at +-1 do *not* have this property beyond order 1:
     their p is (1 + z^2)/(1 - z^2).
     """
-    if k < 1:
-        raise ValidationError("need at least one atom")
+    k = _integer(k, 1, "k")
     x = np.exp(2j * np.pi * np.arange(k) / k)
     return HerglotzSpec(np.full(k, 1.0 / k), x)
 
 
 def spec_from_seed(seed: int, atom_count: int) -> HerglotzSpec:
     """Regenerate a single sampled spec from its recorded seed (own PCG64 stream)."""
-    if atom_count < 1:
-        raise ValidationError("atom_count must be >= 1")
+    seed = _integer(seed, 0, "seed")
+    atom_count = _integer(atom_count, 1, "atom_count")
     rng = np.random.default_rng(seed)
     u = rng.random(atom_count)
     while np.any(u == 0.0):  # zero weight has probability ~2^-53; keep (0,1]
         u = rng.random(atom_count)
     angles = 2.0 * np.pi * rng.random(atom_count)
-    return HerglotzSpec(u / u.sum(), np.exp(1j * angles), int(seed))
+    return HerglotzSpec(u / u.sum(), np.exp(1j * angles), seed)
 
 
 def sample_specs(count: int, atom_count: int, rng_seed: int) -> list[HerglotzSpec]:
@@ -200,8 +192,8 @@ def sample_specs(count: int, atom_count: int, rng_seed: int) -> list[HerglotzSpe
     ``rng_seed``; :func:`spec_from_seed` regenerates it in isolation, which is
     how report witnesses are replayed.
     """
-    if count < 1 or atom_count < 1:
-        raise ValidationError("count and atom_count must be >= 1")
-    root = np.random.default_rng(rng_seed)
+    count = _integer(count, 1, "count")
+    atom_count = _integer(atom_count, 1, "atom_count")
+    root = np.random.default_rng(_integer(rng_seed, 0, "rng_seed"))
     child_seeds = root.integers(0, 2**63 - 1, size=count)
     return [spec_from_seed(int(cs), atom_count) for cs in child_seeds]

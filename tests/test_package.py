@@ -31,3 +31,100 @@ def test_exceptions_surface_is_one_input_error_and_the_numerical_failures():
         "CrossCheckError",
     ]
     assert issubclass(exceptions.ValidationError, ValueError)
+
+
+_S = zoo.f0(4)
+_SPEC = zoo.roots_of_unity_spec(2)
+
+#: Every public function that takes an order, count, seed, grid or radius:
+#: (function, keyword arguments that it accepts, integer names, radius names).
+_ARGUMENT_TABLE = [
+    (bounds.coeff_bound, {"n": 3}, ["n"], []),
+    (bounds.deriv_envelope, {"r": 0.3}, [], ["r"]),
+    (bounds.tail_derivative_bound, {"n": 3, "r": 0.3}, ["n"], ["r"]),
+    (bounds.k_tail, {"n": 4}, ["n"], []),
+    (bounds.cube_series_tail, {"order": 3, "r": 0.3}, ["order"], ["r"]),
+    (zoo.koebe, {"order": 3}, ["order"], []),
+    (zoo.half_plane, {"order": 3}, ["order"], []),
+    (zoo.f0, {"order": 3}, ["order"], []),
+    (zoo.cube_kernel, {"order": 3}, ["order"], []),
+    (zoo.synthesize_F, {"spec": _SPEC, "order": 5}, ["order"], []),
+    (zoo.p_coeffs, {"spec": _SPEC, "order": 3}, ["order"], []),
+    (zoo.roots_of_unity_spec, {"k": 3}, ["k"], []),
+    (zoo.spec_from_seed, {"seed": 3, "atom_count": 2}, ["seed", "atom_count"], []),
+    (
+        zoo.sample_specs,
+        {"count": 2, "atom_count": 2, "rng_seed": 3},
+        ["count", "atom_count", "rng_seed"],
+        [],
+    ),
+    (series.section, {"s": _S, "n": 3}, ["n"], []),
+    (
+        radius.boundary_min,
+        {"s": _S, "criterion": "re-deriv", "r": 0.3, "grid_size": 64},
+        ["grid_size"],
+        ["r"],
+    ),
+    (radius.count_zeros, {"s": _S, "r": 0.3}, [], ["r"]),
+    (
+        radius.criterion_radius,
+        {"s": _S, "criterion": "re-deriv", "grid_size": 64},
+        ["grid_size"],
+        [],
+    ),
+    (verify.cube_min_by_boundary, {"r": 0.3}, [], ["r"]),
+    (
+        verify.theorem1_suite,
+        {"count": 1, "atom_count": 2, "n_max": 3, "seed": 3},
+        ["count", "atom_count", "n_max", "seed"],
+        [],
+    ),
+    (
+        verify.conjecture2_scan,
+        {"count": 1, "atom_count": 2, "n_min": 2, "n_max": 3, "seed": 3, "grid": 64},
+        ["count", "atom_count", "n_min", "n_max", "seed", "grid"],
+        [],
+    ),
+    (
+        verify.classical_radius_scan,
+        {"n_min": 5, "n_max": 6, "grid": 64},
+        ["n_min", "n_max", "grid"],
+        [],
+    ),
+    (verify.figure1_curves, {"r": 0.3, "samples": 16}, ["samples"], ["r"]),
+]
+
+
+def _argument_cases():
+    for fn, kwargs, integers, radii in _ARGUMENT_TABLE:
+        for name in integers:
+            good = kwargs[name]
+            for bad in (good + 0.5, float(good), True, None, str(good)):
+                case_id = f"{fn.__name__}-{name}={bad!r}"
+                yield pytest.param(fn, {**kwargs, name: bad}, "must be an integer", id=case_id)
+        for name in radii:
+            for bad in (None, str(kwargs[name])):
+                case_id = f"{fn.__name__}-{name}={bad!r}"
+                yield pytest.param(fn, {**kwargs, name: bad}, "must be a real number", id=case_id)
+
+
+def test_argument_table_covers_every_checked_function():
+    assert len(_ARGUMENT_TABLE) == 23
+    for fn, kwargs, _integers, _radii in _ARGUMENT_TABLE:
+        fn(**kwargs)  # the unaltered arguments are accepted
+
+
+@pytest.mark.parametrize("fn, kwargs, message", _argument_cases())
+def test_every_order_and_radius_argument_fails_one_way(fn, kwargs, message):
+    """An order, count, seed, grid or section index must be an integer (not a
+    float or a bool) and a radius a real number; anything else is a
+    ValidationError that says so, from every function alike."""
+    with pytest.raises(exceptions.ValidationError, match=message):
+        fn(**kwargs)
+
+
+def test_negative_seeds_are_a_validation_error():
+    with pytest.raises(exceptions.ValidationError, match="seed must be at least 0"):
+        zoo.spec_from_seed(-1, 2)
+    with pytest.raises(exceptions.ValidationError, match="rng_seed must be at least 0"):
+        zoo.sample_specs(2, 2, -1)

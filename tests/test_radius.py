@@ -857,8 +857,24 @@ def test_radius_validation():
     # local univalence and a zero guard bound scan no circle, so the grid is
     # checked on entry, for every criterion
     for criterion in Criterion:
-        with pytest.raises(ValidationError, match="at least 16 points"):
+        with pytest.raises(ValidationError, match="grid_size must be at least 16"):
             criterion_radius(S2, criterion, grid_size=3)
+
+
+def test_unknown_criterion_is_a_validation_error_naming_the_values():
+    for call in (
+        lambda: boundary_min(S2, "bogus", 0.3),
+        lambda: criterion_radius(S2, "bogus"),
+        lambda: criterion_value(S2, "bogus", 0.1),
+    ):
+        with pytest.raises(ValidationError, match="re-deriv, convex, starlike, local-univalence"):
+            call()
+
+
+def test_tolerance_of_the_wrong_kind_is_a_validation_error():
+    for tol in (None, "1e-9", True):
+        with pytest.raises(ValidationError):
+            criterion_radius(S2, Criterion.RE_DERIV, tol=tol)
 
 
 def test_radius_accepts_string_criterion():

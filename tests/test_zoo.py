@@ -110,10 +110,12 @@ def test_spec_invariants_enforced():
         (["0.5", "0.5"], [1, -1]),  # numeric strings
         ([10**400], [1]),  # an integer beyond float range
         ([1.0], ["1"]),
+        ([True], [1]),  # a bool weight
+        ([1.0], [True]),  # a bool point
     ],
 )
 def test_spec_rejects_non_finite_and_non_numeric_input(weights, points):
-    """Only finite bool, integer, float (and, for points, complex) input
+    """Only finite integer, float (and, for points, complex) input
     builds a spec; anything else is a ValidationError, not a later failure."""
     with pytest.raises(ValidationError):
         HerglotzSpec(weights, points)
@@ -244,6 +246,12 @@ def test_rotation_by_minus_one_alternates_signs():
     g = rotation(f0(5), -1.0)
     signs = np.array([1.0, 1.0, -1.0, 1.0, -1.0, 1.0])
     np.testing.assert_allclose(g.coeffs.real, signs * f0(5).coeffs.real, atol=1e-13)
+
+
+def test_rotation_rejects_a_factor_that_is_not_a_number():
+    for mu in (None, "1", True):
+        with pytest.raises(ValidationError):
+            rotation(f0(3), mu)
 
 
 def test_rotation_rejects_non_unimodular():
