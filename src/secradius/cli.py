@@ -13,7 +13,8 @@ scan     run the advisory starlikeness scans (exit 3 flags a candidate
 Machine-readable JSON goes to standard output (or ``--out``); everything
 meant for humans goes to the error stream.  Exit codes: 0 success, 1
 runtime or I/O failure (or failed verification), 2 usage error, 3 candidate
-counterexample from ``scan``.
+counterexample from ``scan``.  A spec file is checked here only for its JSON
+shape; the library types decide its numbers, and an error names the entry.
 """
 
 from __future__ import annotations
@@ -26,9 +27,11 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from .exceptions import SecradiusError, ValidationError
 from .radius import Criterion, criterion_radius
-from .series import TruncatedSeries, section
+from .series import TruncatedSeries, _numbers, section
 from .verify import (
     VerificationReport,
     classical_radius_scan,
@@ -128,11 +131,10 @@ def _library_kwargs(args, *keys: str) -> dict:
     return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
 
 
-def _is_number(value) -> bool:  # a JSON int or float that a float holds, not a bool
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
-
-
 def _load_spec_file(path: str, index: int) -> HerglotzSpec:
+    """Entry ``index`` of a spec file.  Only the JSON shape is checked here;
+    the numbers and the spec's invariants are HerglotzSpec's, and every error
+    names the entry and the entry count."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     specs = data.get("specs") if isinstance(data, dict) else data
     if not isinstance(specs, list):
@@ -146,14 +148,13 @@ def _load_spec_file(path: str, index: int) -> HerglotzSpec:
     for key in ("weights", "points"):
         if key not in entry:
             raise ValidationError(f"spec entry {index} has no {key!r}; {count}")
-    weights, points = entry["weights"], entry["points"]
-    if not isinstance(weights, list) or not all(map(_is_number, weights)):
-        raise ValidationError(f"spec entry {index}: weights must be numbers; {count}")
-    if not isinstance(points, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(map(_is_number, p)) for p in points
-    ):
-        raise ValidationError(f"spec entry {index}: points must be [re, im] number pairs; {count}")
-    return HerglotzSpec(weights, [complex(x, y) for x, y in points], entry.get("seed"))
+    try:
+        xy = _numbers(entry["points"], np.float64, "points")
+        if xy.size and xy.shape[1:] != (2,):  # no points at all is HerglotzSpec's error
+            raise ValidationError("points must be [re, im] number pairs")
+        return HerglotzSpec(entry["weights"], xy.view(np.complex128).ravel(), entry.get("seed"))
+    except ValidationError as exc:
+        raise ValidationError(f"spec entry {index}: {exc}; {count}") from exc
 
 
 def _section_series(args, parser: argparse.ArgumentParser) -> TruncatedSeries:

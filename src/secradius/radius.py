@@ -163,7 +163,8 @@ def criterion_value(s: TruncatedSeries, criterion: Criterion, z: complex) -> flo
     representable floor.  Local univalence has no field and raises
     :class:`ValidationError`.
     """
-    return _point_jet(_field_parts(s, Criterion(criterion)))(complex(z))[0]
+    z = complex(_numbers(z, np.complex128, "z", scalar=True))
+    return _point_jet(_field_parts(s, Criterion(criterion)))(z)[0]
 
 
 def _field_parts(
@@ -390,7 +391,7 @@ def criterion_radius(
     criterion = Criterion(criterion)
     if not is_normalized(s):
         raise ValidationError("criterion_radius requires a normalized series")
-    tol = float(_numbers(tol, np.float64, "tol"))
+    tol = float(_numbers(tol, np.float64, "tol", scalar=True))
     if tol < 1e-12:
         raise ValidationError(f"tol must be at least 1e-12, got {tol}")
     grid_size = _integer(grid_size, 16, "grid_size")

@@ -44,12 +44,23 @@ class TruncatedSeries:
         return f"TruncatedSeries(order={self.order}, coeffs={head}...)"
 
 
-def _numbers(values, dtype: type, name: str) -> np.ndarray:
+def _numbers(values, dtype: type, name: str, scalar: bool = False) -> np.ndarray:
     """A finite copy of ``values`` as ``dtype`` (float64 or complex128) from integer,
-    float or (for complex128) complex input only, else ValidationError."""
-    a = np.asarray(values)
+    float or (for complex128) complex input only, with no bool anywhere, no ragged
+    nesting, and no dimension when ``scalar``; else ValidationError.  Only input
+    that is not already an ndarray is scanned element by element."""
+    try:
+        a = np.asarray(values)
+    except ValueError as exc:  # ragged nesting
+        raise ValidationError(f"{name} must be a regular array of numbers") from exc
+    if not isinstance(values, np.ndarray) and any(
+        isinstance(v, (bool, np.bool_)) for v in np.asarray(values, object).flat
+    ):
+        raise ValidationError(f"{name} must be numbers, not bool")
     if a.dtype.kind not in "iuf" + np.dtype(dtype).kind:
         raise ValidationError(f"{name} must be numbers, not {a.dtype}")
+    if scalar and a.ndim:
+        raise ValidationError(f"{name} must be a single number, got shape {a.shape}")
     a = np.array(a, dtype=dtype)
     if not np.all(np.isfinite(a)):
         raise ValidationError(f"{name} must be finite")
@@ -72,10 +83,9 @@ def _radius(value, closed: bool = False) -> float:
     when ``closed``; else ValidationError.  The one rule for disc radii."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValidationError(f"radius must be a real number, got {value!r}")
-    r = float(value)
-    if not ((0.0 <= r if closed else 0.0 < r) and r < 1.0):
+    if not ((0.0 <= value if closed else 0.0 < value) and value < 1.0):
         raise ValidationError(f"radius must lie in {'[' if closed else '('}0, 1), got {value}")
-    return r
+    return float(value)
 
 
 def is_normalized(s: TruncatedSeries) -> bool:

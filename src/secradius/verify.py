@@ -20,7 +20,8 @@ positive-derivative radius argument for the family F:
   1 - (3/n) log n starlikeness threshold.
 
 Every item records expected/computed/tolerance plus an optional (r, theta)
-witness, and a report is reproducible bit for bit from its seed.
+witness and derives its verdict from them, and a report is reproducible bit
+for bit from its seed.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .zoo import GENERATOR_NAME, HerglotzSpec, f0, koebe, sample_specs, synthesi
 __all__ = [
     "VerificationItem",
     "VerificationReport",
-    "make_item",
     "THEOREM1_RADIUS",
     "CONJECTURE2_THRESHOLD",
     "min_g",
@@ -83,33 +83,29 @@ CONJECTURE2_THRESHOLD = 1.0 / 3.0 - 1e-6
 class VerificationItem:
     """One named check: a computed value against an optional expectation.
 
-    ``passed`` is True exactly when ``expected`` is None (purely
-    informational item) or |computed - expected| <= tolerance.  ``witness``
-    optionally locates the attaining point as an (r, theta) pair; checks
-    that are functions of an angle alone use r = 1.0.
+    ``passed`` is derived, never stored: True exactly when ``expected`` is
+    None (purely informational item) or |computed - expected| <= tolerance.
+    ``witness`` optionally locates the attaining point as an (r, theta)
+    pair; checks that are functions of an angle alone use r = 1.0.
+    ``computed``, ``tolerance`` and the witness are stored as floats.
     """
 
     name: str
-    expected: float | None
     computed: float
-    tolerance: float
-    passed: bool
-    witness: tuple[float, float] | None
+    expected: float | None = None
+    tolerance: float = 0.0
+    witness: tuple[float, float] | None = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "computed", float(self.computed))
+        object.__setattr__(self, "tolerance", float(self.tolerance))
+        if self.witness is not None:
+            r, theta = self.witness
+            object.__setattr__(self, "witness", (float(r), float(theta)))
 
-def make_item(
-    name: str,
-    computed: float,
-    expected: float | None = None,
-    tolerance: float = 0.0,
-    witness: tuple[float, float] | None = None,
-) -> VerificationItem:
-    """Build an item with ``passed`` derived from the defining invariant."""
-    computed = float(computed)
-    ok = True if expected is None else abs(computed - expected) <= tolerance
-    if witness is not None:
-        witness = (float(witness[0]), float(witness[1]))
-    return VerificationItem(name, expected, computed, float(tolerance), ok, witness)
+    @property
+    def passed(self) -> bool:
+        return self.expected is None or abs(self.computed - self.expected) <= self.tolerance
 
 
 @dataclass(frozen=True)
@@ -142,9 +138,7 @@ def min_g() -> VerificationItem:
     g is Re(1 + z + z^2/2) on |z| = 1, scanned like any boundary field.
     """
     value, theta = _field_scan((np.array([1.0, 1.0, 0.5]), None), _GRID)(1.0)
-    return make_item(
-        "min_g", value, expected=0.25, tolerance=1e-10, witness=(1.0, theta)
-    )
+    return VerificationItem("min_g", value, expected=0.25, tolerance=1e-10, witness=(1.0, theta))
 
 
 def min_T() -> VerificationItem:
@@ -163,7 +157,7 @@ def min_T() -> VerificationItem:
 
     g_min, theta = minimize(_g, _GRID)
     cos_min = minimize(lambda phi: np.cos(phi) / 6.0, _PHI_GRID)[0]
-    return make_item(
+    return VerificationItem(
         "min_T",
         g_min + cos_min,
         expected=1.0 / 12.0,
@@ -228,7 +222,7 @@ def min_re_cube_kernel(r: float) -> VerificationItem:
             )
         expected = 27.0 / 64.0
     label = "1/3" if at_third else repr(float(r))
-    return make_item(
+    return VerificationItem(
         f"min_re_cube_kernel_{label}",
         value,
         expected=expected,
@@ -241,7 +235,7 @@ def n4_margin() -> VerificationItem:
     """27/64 + k_tail(4) = 145/1728, the strict positivity margin at n = 4."""
     base = min_re_cube_kernel(1.0 / 3.0)
     computed = base.computed + k_tail(4)
-    return make_item(
+    return VerificationItem(
         "n4_margin",
         computed,
         expected=145.0 / 1728.0,
@@ -274,7 +268,7 @@ def sharpness_witnesses(tol: float = 1e-9) -> list[VerificationItem]:
     for name, s, criterion, expected in checks:
         res = criterion_radius(s, criterion, tol)
         items.append(
-            make_item(
+            VerificationItem(
                 name,
                 res.radius,
                 expected=expected,
@@ -296,7 +290,7 @@ def _sweep_minimum(
     gives (value, theta).  Returns ((value, label, n, theta), f0_n2), where
     f0_n2 is f0's (value, theta) at n = 2, None when n_min > 2.
     """
-    members = [("f0", HerglotzSpec.from_atoms([(1.0, 1.0 + 0.0j)]))]
+    members = [("f0", HerglotzSpec([1.0], [1.0]))]
     members += [(spec.seed, spec) for spec in sample_specs(count, atom_count, seed)]
     best: tuple[float, object, int, float] = (math.inf, None, 0, 0.0)
     f0_n2 = None
@@ -334,17 +328,15 @@ def theorem1_suite(
         _sweep_minimum(count, atom_count, seed, 2, n_max, margin)
     )
     items = (
-        make_item(
-            "theorem1_min_margin", best_margin, witness=(r, best_theta)
-        ),
-        make_item(
+        VerificationItem("theorem1_min_margin", best_margin, witness=(r, best_theta)),
+        VerificationItem(
             "theorem1_margin_violation",
             max(0.0, -best_margin),
             expected=0.0,
             tolerance=1e-9,
             witness=(r, best_theta),
         ),
-        make_item(
+        VerificationItem(
             "theorem1_f0_margin_n2",
             f0_margin,
             expected=0.0,
@@ -395,15 +387,10 @@ def conjecture2_scan(
         count, atom_count, seed, n_min, n_max, starlike
     )
     found = best_radius < CONJECTURE2_THRESHOLD
-    items = [
-        make_item(
-            "conjecture2_min_starlike_radius",
-            best_radius,
-            witness=(best_radius, best_theta),
-        ),
-    ]
+    witness = (best_radius, best_theta)
+    items = [VerificationItem("conjecture2_min_starlike_radius", best_radius, witness=witness)]
     if f0_n2 is not None:
-        items.append(make_item("conjecture2_f0_n2_radius", f0_n2[0], witness=f0_n2))
+        items.append(VerificationItem("conjecture2_f0_n2_radius", f0_n2[0], witness=f0_n2))
     parameters = {
         "count": count,
         "atom_count": atom_count,
@@ -437,9 +424,9 @@ def classical_radius_scan(
         res = criterion_radius(koebe(n), Criterion.STARLIKENESS, tol, grid)
         threshold = 1.0 - (3.0 / n) * math.log(n) - 1e-6
         witness = _radius_witness(res)
-        items.append(make_item(f"classical_radius_n{n}", res.radius, witness=witness))
+        items.append(VerificationItem(f"classical_radius_n{n}", res.radius, witness=witness))
         items.append(
-            make_item(
+            VerificationItem(
                 f"classical_violation_n{n}",
                 max(0.0, threshold - res.radius),
                 expected=0.0,
@@ -475,15 +462,9 @@ def full_suite(tol: float = 1e-9, **suite) -> VerificationReport:
     ``suite`` goes to :func:`theorem1_suite` as given, and the report takes
     that suite's seed; ``tol`` is the radius tolerance of the sharpness items.
     """
+    sharpness = sharpness_witnesses(tol)  # first, so a bad tol fails before any work
     t1 = theorem1_suite(**suite)
-    items: list[VerificationItem] = [
-        min_g(),
-        min_T(),
-        min_re_cube_kernel(1.0 / 3.0),
-        n4_margin(),
-    ]
-    items.extend(sharpness_witnesses(tol))
-    items.extend(t1.items)
+    items = [min_g(), min_T(), min_re_cube_kernel(1.0 / 3.0), n4_margin(), *sharpness, *t1.items]
     parameters = dict(t1.parameters)
     parameters["tol"] = tol
     return VerificationReport(tuple(items), t1.seed, parameters, GENERATOR_NAME)

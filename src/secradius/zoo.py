@@ -55,9 +55,10 @@ class HerglotzSpec:
     """Finite atomic measure defining a Caratheodory-class function.
 
     ``weights`` are positive reals summing to 1; ``points`` are unimodular
-    complex numbers.  ``seed`` records how the spec was sampled (None for
-    hand-built specs); a spec sampled by :func:`sample_specs` can be
-    regenerated alone from its recorded seed.
+    complex numbers.  ``seed`` records how the spec was sampled, an integer
+    of at least 0 (None for hand-built specs); a spec sampled by
+    :func:`sample_specs` can be regenerated alone from its recorded seed.
+    The constructor is the one way to build a spec and checks all of this.
     """
 
     weights: np.ndarray
@@ -72,23 +73,19 @@ class HerglotzSpec:
         if np.any(w <= 0.0) or np.any(w > 1.0):
             raise ValidationError("weights must lie in (0, 1]")
         if abs(w.sum() - 1.0) > _UNIT_TOL:
-            raise ValidationError(f"weights sum to {w.sum()!r}, not 1")
+            raise ValidationError(f"weights sum to {float(w.sum())!r}, not 1")
         if np.any(np.abs(np.abs(x) - 1.0) > _UNIT_TOL):
             raise ValidationError("points must be unimodular")
         w.flags.writeable = False
         x.flags.writeable = False
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "points", x)
+        if self.seed is not None:
+            object.__setattr__(self, "seed", _integer(self.seed, 0, "seed"))
 
     @property
     def atom_count(self) -> int:
         return len(self.weights)
-
-    @classmethod
-    def from_atoms(cls, atoms, seed=None) -> "HerglotzSpec":
-        """Build from an iterable of (weight, point) pairs."""
-        pairs = list(atoms)
-        return cls([w for w, _ in pairs], [x for _, x in pairs], seed)
 
 
 def koebe(order: int) -> TruncatedSeries:
@@ -152,7 +149,7 @@ def synthesize_F(spec: HerglotzSpec, order: int = 64) -> TruncatedSeries:
 
 def rotation(f: TruncatedSeries, mu: complex) -> TruncatedSeries:
     """conj(mu) * f(mu z) for unimodular mu: coefficients c_n -> mu^(n-1) c_n."""
-    mu = complex(_numbers(mu, np.complex128, "mu"))
+    mu = complex(_numbers(mu, np.complex128, "mu", scalar=True))
     if abs(abs(mu) - 1.0) > _UNIT_TOL:
         raise ValidationError(f"rotation factor must be unimodular, got |mu|={abs(mu)!r}")
     factors = np.conj(mu) * mu ** np.arange(f.order + 1)

@@ -68,7 +68,7 @@ def suite_report():
 @pytest.fixture(scope="module")
 def members():
     """f0 plus the same 200-spec sample the suite uses, synthesized to 64."""
-    specs = [HerglotzSpec.from_atoms([(1.0, 1.0 + 0.0j)])]
+    specs = [HerglotzSpec([1.0], [1.0])]
     specs.extend(sample_specs(SUITE_COUNT, SUITE_ATOMS, SUITE_SEED))
     return [synthesize_F(spec, order=64) for spec in specs]
 

@@ -11,7 +11,7 @@ import secradius.cli as cli
 from secradius.cli import build_parser, main
 from secradius.radius import Criterion, criterion_radius
 from secradius.series import section
-from secradius.verify import VerificationReport, full_suite, make_item, min_re_cube_kernel
+from secradius.verify import VerificationItem, VerificationReport, full_suite, min_re_cube_kernel
 from secradius.zoo import f0, koebe, spec_from_seed, synthesize_F
 
 REPORT_KEYS = ["schema_version", "seed", "generator_name", "parameters", "items", "generated_at"]
@@ -86,7 +86,7 @@ def test_verify_writes_stdout_by_default(capsys):
 
 def test_verify_exits_one_on_failure(capsys, monkeypatch):
     bad = VerificationReport(
-        (make_item("forced_failure", 1.0, expected=0.0, tolerance=0.1),),
+        (VerificationItem("forced_failure", 1.0, expected=0.0, tolerance=0.1),),
         seed=0,
         parameters={},
         generator_name="test",
@@ -229,23 +229,39 @@ def test_radius_runtime_errors(tmp_path, capsys):
     assert code == 1
     assert "non-empty" in capsys.readouterr().err
 
-    # unmatched atoms, an index past the end, a missing key and every
-    # malformed shape are refused, each by one error line that names the
-    # fault ({} stands for the file), never by a traceback
+    # unmatched atoms, an index past the end, a missing key, every malformed
+    # shape, number and seed, and every broken spec invariant are refused,
+    # each by one error line that names the fault and, once the entry is
+    # found, the entry and the entry count ({} stands for the file), never
+    # by a traceback
     atom = {"weights": [1.0], "points": [[1, 0]]}
-    pairs = "points must be [re, im] number pairs; entries in {}: 1"
+    pair = [[1, 0], [-1, 0]]
+
+    def entry(message, weights=(0.5, 0.5), points=pair, **seed):
+        document = {"specs": [{"weights": list(weights), "points": points, **seed}]}
+        return document, [], f"spec entry 0: {message}; entries in {{}}: 1"
+
     for document, extra, message in (
-        ({"specs": [{"weights": [0.5, 0.5], "points": [[1, 0], [-1, 0], [0, 1]]}]}, [],
-         "matching"),
+        entry("weights and points must be matching non-empty 1-D arrays", points=[*pair, [0, 1]]),
         ({"specs": [{"weights": [1.0]}]}, [], "spec entry 0 has no 'points'; entries in {}: 1"),
         ([atom], ["--index", "5"], "--index 5 is out of range; entries in {}: 1"),
         ({"spec": [atom]}, [], "{} holds no list of spec entries"),
         (5, [], "{} holds no list of spec entries"),
         ({"specs": [5]}, [], "spec entry 0 is not an object; entries in {}: 1"),
-        ({"specs": [{"weights": [1.0], "points": [1.0]}]}, [], "spec entry 0: " + pairs),
-        ({"specs": [{"weights": [1.0], "points": [[None, 0]]}]}, [], "spec entry 0: " + pairs),
+        entry("points must be [re, im] number pairs", weights=[1.0], points=[1.0]),
+        entry("points must be [re, im] number pairs", weights=[1.0], points=[[1, 0, 0]]),
+        entry("points must be numbers, not object", weights=[1.0], points=[[None, 0]]),
         ({"specs": [atom, {"weights": ["1"], "points": [[1, 0]]}]}, ["--index", "1"],
-         "spec entry 1: weights must be numbers; entries in {}: 2"),
+         "spec entry 1: weights must be numbers, not <U1; entries in {}: 2"),
+        entry("weights must be numbers, not bool", weights=[True], points=[[1, 0]]),
+        entry("weights must be numbers, not bool", weights=[0.5, True]),
+        entry("points must be numbers, not bool", weights=[1.0], points=[[True, 0]]),
+        entry("points must be a regular array of numbers", points=[[1, 0], [1]]),
+        entry("seed must be an integer, got 'abc'", seed="abc"),
+        entry("seed must be at least 0, got -3", seed=-3),
+        entry("seed must be an integer, got 2.5", seed=2.5),
+        entry("weights sum to 1.1, not 1", weights=[0.5, 0.6]),
+        entry("points must be unimodular", weights=[1.0], points=[[2, 0]]),
     ):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(document))
@@ -414,7 +430,7 @@ def test_scan_solver_flags_reach_report(capsys, argv, grid, tol):
 
 def test_scan_exit_three_on_counterexample(tmp_path, capsys, monkeypatch):
     fake = VerificationReport(
-        (make_item("conjecture2_min_starlike_radius", 0.25),),
+        (VerificationItem("conjecture2_min_starlike_radius", 0.25),),
         seed=11,
         parameters={"counterexample_found": True},
         generator_name="test",

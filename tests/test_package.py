@@ -94,6 +94,14 @@ _ARGUMENT_TABLE = [
     (verify.figure1_curves, {"r": 0.3, "samples": 16}, ["samples"], ["r"]),
 ]
 
+#: Every public function that takes a single number that is not an order or
+#: a radius: (function, keyword arguments that it accepts, the number's name).
+_SCALAR_TABLE = [
+    (radius.criterion_radius, {"s": _S, "criterion": "re-deriv", "tol": 1e-9}, "tol"),
+    (radius.criterion_value, {"s": _S, "criterion": "re-deriv", "z": 0.1}, "z"),
+    (zoo.rotation, {"f": _S, "mu": 1j}, "mu"),
+]
+
 
 def _argument_cases():
     for fn, kwargs, integers, radii in _ARGUMENT_TABLE:
@@ -106,19 +114,29 @@ def _argument_cases():
             for bad in (None, str(kwargs[name])):
                 case_id = f"{fn.__name__}-{name}={bad!r}"
                 yield pytest.param(fn, {**kwargs, name: bad}, "must be a real number", id=case_id)
+            case_id = f"{fn.__name__}-{name}=10**400"
+            yield pytest.param(fn, {**kwargs, name: 10**400}, "must lie in", id=case_id)
+    for fn, kwargs, name in _SCALAR_TABLE:
+        good = kwargs[name]
+        for bad, message in ((None, "must be numbers"), (str(good), "must be numbers"),
+                             ([good], "must be a single number")):
+            case_id = f"{fn.__name__}-{name}={bad!r}"
+            yield pytest.param(fn, {**kwargs, name: bad}, message, id=case_id)
 
 
 def test_argument_table_covers_every_checked_function():
     assert len(_ARGUMENT_TABLE) == 23
-    for fn, kwargs, _integers, _radii in _ARGUMENT_TABLE:
+    for fn, kwargs, *_names in _ARGUMENT_TABLE + _SCALAR_TABLE:
         fn(**kwargs)  # the unaltered arguments are accepted
 
 
 @pytest.mark.parametrize("fn, kwargs, message", _argument_cases())
 def test_every_order_and_radius_argument_fails_one_way(fn, kwargs, message):
     """An order, count, seed, grid or section index must be an integer (not a
-    float or a bool) and a radius a real number; anything else is a
-    ValidationError that says so, from every function alike."""
+    float or a bool), a radius a real number in range (an integer beyond
+    float range included), and a tolerance, point or rotation factor one
+    number, not a sequence; anything else is a ValidationError that says
+    so, from every function alike."""
     with pytest.raises(exceptions.ValidationError, match=message):
         fn(**kwargs)
 
@@ -128,3 +146,4 @@ def test_negative_seeds_are_a_validation_error():
         zoo.spec_from_seed(-1, 2)
     with pytest.raises(exceptions.ValidationError, match="rng_seed must be at least 0"):
         zoo.sample_specs(2, 2, -1)
+

@@ -49,9 +49,12 @@ def test_rejects_empty_and_multidimensional():
         TruncatedSeries(np.zeros((2, 2)))
 
 
-@pytest.mark.parametrize("coeffs", [[0, "1", "2"], [0, 1, 10**400], [False, True]])
+@pytest.mark.parametrize(
+    "coeffs", [[0, "1", "2"], [0, 1, 10**400], [False, True], [0, True, 0.5], [[0, 1], [1]]]
+)
 def test_rejects_non_numeric_coefficients(coeffs):
-    """Numeric strings, integers beyond float range and bools are a ValidationError."""
+    """Numeric strings, integers beyond float range, a bool anywhere and a ragged
+    nesting are a ValidationError."""
     with pytest.raises(ValidationError):
         TruncatedSeries(coeffs)
 

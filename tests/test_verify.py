@@ -1,5 +1,6 @@
 """Unit tests for the verification items, suites, and scans."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from secradius.series import section
 from secradius.verify import (
     CONJECTURE2_THRESHOLD,
     THEOREM1_RADIUS,
+    VerificationItem,
     VerificationReport,
     classical_radius_scan,
     conjecture2_scan,
@@ -20,7 +22,6 @@ from secradius.verify import (
     cube_min_by_cubic,
     figure1_curves,
     full_suite,
-    make_item,
     min_T,
     min_g,
     min_re_cube_kernel,
@@ -44,22 +45,32 @@ from secradius.zoo import (
 # ---------------------------------------------------------------------------
 
 
-def test_make_item_passes_informational():
-    item = make_item("x", 3.14)
+def test_item_passes_informational():
+    item = VerificationItem("x", 3.14)
     assert item.expected is None
     assert item.passed
     assert item.witness is None
 
 
-def test_make_item_tolerance_is_inclusive():
-    assert make_item("x", 1.5, expected=1.0, tolerance=0.5).passed
-    assert not make_item("x", 1.5000001, expected=1.0, tolerance=0.5).passed
+def test_item_tolerance_is_inclusive():
+    assert VerificationItem("x", 1.5, expected=1.0, tolerance=0.5).passed
+    assert not VerificationItem("x", 1.5000001, expected=1.0, tolerance=0.5).passed
 
 
-def test_make_item_witness_coercion():
-    item = make_item("x", 0.0, witness=(np.float64(0.5), np.float64(1.0)))
+def test_item_coerces_its_numbers():
+    item = VerificationItem("x", np.float64(2.0), 2, np.float64(0.0), (np.float64(0.5), 1))
     assert item.witness == (0.5, 1.0)
-    assert isinstance(item.witness[0], float)
+    assert all(type(v) is float for v in (item.computed, item.tolerance, *item.witness))
+
+
+def test_item_verdict_is_derived_not_stored():
+    """A hand-built item cannot claim a pass its numbers do not give."""
+    item = VerificationItem("x", 0.0, 1.0, 0.0)
+    assert not item.passed
+    assert not VerificationReport((item,), 0, {}, "x").passed
+    assert "passed" not in {f.name for f in dataclasses.fields(VerificationItem)}
+    with pytest.raises(TypeError):
+        VerificationItem("x", 0.0, 1.0, 0.0, True, None)
 
 
 def test_report_rejects_empty():
@@ -68,8 +79,8 @@ def test_report_rejects_empty():
 
 
 def test_report_passed_is_conjunction():
-    good = make_item("a", 1.0, expected=1.0, tolerance=0.0)
-    bad = make_item("b", 1.0, expected=0.0, tolerance=0.1)
+    good = VerificationItem("a", 1.0, expected=1.0, tolerance=0.0)
+    bad = VerificationItem("b", 1.0, expected=0.0, tolerance=0.1)
     assert VerificationReport((good,), 0, {}, "x").passed
     assert not VerificationReport((good, bad), 0, {}, "x").passed
 
@@ -253,7 +264,7 @@ def _direct_sweep(count, atom_count, seed, n_min, n_max, measure):
     """(value, label, n, theta, coeffs) of f0 and then every sampled member
     at each order n_min..n_max, in that order: the brute-force oracle of the
     suites' sweep."""
-    members = [("f0", HerglotzSpec.from_atoms([(1.0, 1.0 + 0.0j)]))]
+    members = [("f0", HerglotzSpec([1.0], [1.0]))]
     members += [(spec.seed, spec) for spec in sample_specs(count, atom_count, seed)]
     rows = []
     for label, spec in members:
@@ -483,3 +494,12 @@ def test_full_suite_forwards_only_the_given_suite_keywords(monkeypatch):
     assert full_suite().seed == 5
     assert full_suite(count=2).seed == 5
     assert calls == [((), {}), ((), {"count": 2})]
+
+
+def test_full_suite_rejects_a_bad_tol_before_any_suite_work(monkeypatch):
+    def unreachable(**kwargs):
+        raise AssertionError("theorem1_suite ran before tol was checked")
+
+    monkeypatch.setattr(verify, "theorem1_suite", unreachable)
+    with pytest.raises(ValidationError, match="tol must be at least 1e-12"):
+        full_suite(tol=1e-13)

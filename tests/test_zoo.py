@@ -90,8 +90,8 @@ def test_order_validation():
 
 
 def test_spec_invariants_enforced():
-    with pytest.raises(ValidationError):
-        HerglotzSpec(np.array([0.5, 0.4]), np.array([1.0 + 0j, -1.0 + 0j]))  # sum != 1
+    with pytest.raises(ValidationError, match=r"^weights sum to 0\.9, not 1$"):
+        HerglotzSpec(np.array([0.5, 0.4]), np.array([1.0 + 0j, -1.0 + 0j]))  # a plain float
     with pytest.raises(ValidationError):
         HerglotzSpec(np.array([1.0]), np.array([0.5 + 0j]))  # not unimodular
     with pytest.raises(ValidationError):
@@ -100,6 +100,9 @@ def test_spec_invariants_enforced():
         HerglotzSpec(np.array([1.0]), np.array([1.0 + 0j, 1j]))  # shape mismatch
     with pytest.raises(ValidationError):
         HerglotzSpec(np.array([]), np.array([]))  # empty
+    for seed in ("abc", 2.5, True, -3):  # a seed is an integer of at least 0
+        with pytest.raises(ValidationError, match="seed must be"):
+            HerglotzSpec([1.0], [1.0], seed=seed)
 
 
 @pytest.mark.parametrize(
@@ -121,19 +124,19 @@ def test_spec_rejects_non_finite_and_non_numeric_input(weights, points):
         HerglotzSpec(weights, points)
 
 
-def test_spec_from_atoms_and_properties():
-    spec = HerglotzSpec.from_atoms([(0.25, 1j), (0.75, -1j)], seed=5)
+def test_spec_constructor_and_properties():
+    spec = HerglotzSpec([0.25, 0.75], [1j, -1j], seed=np.int64(5))
     assert spec.atom_count == 2
-    assert spec.seed == 5
+    assert spec.seed == 5 and type(spec.seed) is int
     assert not spec.weights.flags.writeable
     assert not spec.points.flags.writeable
     with pytest.raises(ValidationError, match="non-empty"):
-        HerglotzSpec.from_atoms([])
+        HerglotzSpec([], [])
 
 
 def test_p_coeffs_single_atom():
     """one atom at x=1 gives the constant-coefficient p_j = 2."""
-    spec = HerglotzSpec.from_atoms([(1.0, 1.0 + 0j)])
+    spec = HerglotzSpec([1.0], [1.0])
     p = p_coeffs(spec, 5)
     assert p[0] == 1.0
     np.testing.assert_allclose(p[1:], 2.0 * np.ones(5), atol=1e-15)
@@ -165,13 +168,13 @@ def test_roots_of_unity_spec_kills_low_coefficients():
 
 def test_synthesize_single_atom_reproduces_f0():
     """the point mass at x = 1 is exactly the extremal member."""
-    spec = HerglotzSpec.from_atoms([(1.0, 1.0 + 0j)])
+    spec = HerglotzSpec([1.0], [1.0])
     f = synthesize_F(spec, order=32)
     np.testing.assert_allclose(f.coeffs, f0(32).coeffs, atol=1e-12)
 
 
 def test_synthesize_atom_at_minus_one_is_rotated_f0():
-    spec = HerglotzSpec.from_atoms([(1.0, -1.0 + 0j)])
+    spec = HerglotzSpec([1.0], [-1.0])
     f = synthesize_F(spec, order=24)
     np.testing.assert_allclose(f.coeffs, rotation(f0(24), -1.0).coeffs, atol=1e-12)
 
