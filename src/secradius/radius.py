@@ -28,12 +28,15 @@ than a grid cell, away from the grid argmin, can go unseen.
 
 :func:`criterion_radius` solves for the radius where the boundary minimum
 changes sign, inside [0, rho): rho is a certified lower bound on the root
-moduli of the denominator (the *guard*), from Gerschgorin discs around the
-``np.roots`` approximations (:func:`_root_discs`), so no pole enters the
-disc and a positive boundary minimum proves the criterion.  There the
-minimum is non-increasing in r, and a safeguarded regula falsi on the scans
-alone finds the radius.  :func:`count_zeros` counts the zeros inside a
-circle on the same discs, exactly unless a disc meets the circle.
+moduli of the denominator (the *guard*), so no pole enters the disc and a
+positive boundary minimum proves the criterion.  There the minimum is
+non-increasing in r, and a safeguarded regula falsi on the scans alone
+finds the radius.  rho is first a root-free bound, from three Graeffe
+squarings and Cauchy's bound (:func:`_graeffe_bound`); only a search that
+reaches it finds the roots, and then rho is the larger of it and the least
+modulus on Gerschgorin discs around the ``np.roots`` approximations
+(:func:`_root_discs`).  :func:`count_zeros` counts the zeros inside a
+circle on those discs, exactly unless a disc meets the circle.
 """
 
 from __future__ import annotations
@@ -110,7 +113,10 @@ class RadiusResult:
     ``witness`` is the boundary scan of the probe that certified the radius
     (None when even tiny discs fail, when nothing bounds the guard's zeros
     away from 0, and for local univalence, which probes nothing).
-    ``iterations`` counts boundary-scan probes.
+    ``iterations`` counts boundary-scan probes: at most
+    ceil(log2(max(width, tol) / tol)) + 4 for each of the one or two bracket
+    searches of :func:`criterion_radius`, each over a bracket of that width,
+    plus one probe of the cap when a search reaches it.
     """
 
     radius: float
@@ -252,9 +258,12 @@ def _field_scan(parts: tuple, grid: int) -> Callable[[float], tuple[float, float
     rows, their exponents and its jet are prepared once.  ``scan.field(r)``
     is the field at the angles 2 pi k / grid: one row-wise inverse FFT of the
     r-scaled rows, folded modulo ``grid`` when longer (powers m and m + grid
-    meet the same roots).  Newton steps on :func:`_point_jet` start at the
-    grid argmin (the least theta on ties), inside its two adjacent cells:
-    each moves the bracket end on the derivative's side, and a step that is
+    meet the same roots).  Newton steps on :func:`_point_jet` stay inside the
+    two cells next to the grid argmin (the least theta on ties).  They start
+    at the vertex of the parabola through the argmin's value and its two
+    neighbours', which lies within half a cell of the argmin, or at the
+    argmin when that parabola is not convex.  Each step moves the bracket end
+    on the derivative's side, and a step that is
     not Newton with positive finite second derivative inside the bracket is
     its midpoint.  A step of at most ``_THETA_TOL`` stops, tested before the
     bracket (the Newton step at a grid-point minimum can round onto its
@@ -292,6 +301,10 @@ def _field_scan(parts: tuple, grid: int) -> Callable[[float], tuple[float, float
         theta = k * step
         lo, hi = theta - step, theta + step
         best = (float(vals[k]), theta)
+        left, right = float(vals[k - 1]), float(vals[(k + 1) % grid])
+        curve = left - 2.0 * best[0] + right
+        if curve > 0.0:
+            theta += 0.5 * step * (left - right) / curve
         while True:
             value, d1, d2 = jet(cmath.rect(r, theta))
             best = min(best, (value, theta))
@@ -368,19 +381,24 @@ def criterion_radius(
 
     A radius passes when the boundary minimum m(r) is strictly positive and
     the guard polynomial (the field's denominator, see :func:`_field_parts`)
-    has no zeros inside the disc.  :func:`_guard_bound` gives a certified
-    lower bound ``rho`` on the guard's root moduli, so on [0, rho) the field
-    is harmonic on the disc and m is non-increasing.  The field is prepared
-    once (:func:`_field_scan`), and one :func:`_bracket_root` call probes it
-    on [0, min(rho, cap)], ``rho`` failing unprobed because the field at a
-    guard zero can look positive; a cap below ``rho`` is probed first, and
-    passing there clamps.  No probed circle meets a pole.  A bound of 0
-    (coincident root approximations) leaves the empty bracket [0, 0]:
-    radius 0.0, no witness, no probe.
+    has no zeros inside the disc.  On [0, rho), with ``rho`` a certified
+    lower bound on the guard's root moduli, the field is harmonic on the
+    disc and m is non-increasing.  The field is prepared once
+    (:func:`_field_scan`), and :func:`_bracket_root` probes it on
+    [0, min(rho, cap)], whose top end fails unprobed: the field at a guard
+    zero can look positive, and the cap is probed last.  ``rho`` is first
+    the root-free :func:`_graeffe_bound`.  Only when the search ends within
+    ``tol`` of it, no probe having failed, does :func:`_guard_bound` find
+    the roots; both bounds are certified, so a second search goes on from
+    the passing end up to the larger.  So at most two searches run, and a
+    cap below ``rho`` that a search reaches is probed once, at the end;
+    passing there clamps.  No probed circle meets a pole.  Bounds of 0
+    leave the empty bracket [0, 0]: radius 0.0, no witness, no probe.
 
     Local univalence asks only that the guard s' be zero-free, which is what
-    ``rho`` certifies: its radius is ``rho`` itself, with no probe and no
-    witness, below the first zero of s' by the width of the root discs.
+    the discs' bound :func:`_guard_bound` certifies: its radius is that
+    bound itself, with no probe and no witness, below the first zero of s'
+    by the width of the root discs.
 
     The result errs small, by at most ``tol``, provided ``grid_size``
     resolves every negative arc of the field on the probed circles: a
@@ -400,16 +418,108 @@ def criterion_radius(
         clamped = rho > RADIUS_CAP
         return RadiusResult(1.0 if clamped else rho, None, 0, tol, clamped)
     parts = _field_parts(s, criterion)
-    rho = math.inf if parts[1] is None else _guard_bound(parts[1])
+    guard = parts[1]
+    rho = math.inf if guard is None else _graeffe_bound(guard)
     scan = _field_scan(parts, grid_size)
-    f_cap = -math.inf
-    if rho > RADIUS_CAP:
-        f_cap, theta = scan(RADIUS_CAP)
-        if f_cap > 0.0:
-            return RadiusResult(1.0, BoundaryScan(RADIUS_CAP, grid_size, f_cap, theta), 1, tol, True)
-    r, found, probes = _bracket_root(scan, min(rho, RADIUS_CAP), f_cap, tol)
+    top = min(rho, RADIUS_CAP)
+    r, hi, found, probes = _bracket_root(scan, 0.0, None, top, tol)
+    if hi == top and rho <= RADIUS_CAP:
+        # the search reached the root-free bound: the tight discs may lift it
+        rho = max(rho, _guard_bound(guard))
+        r, hi, found, more = _bracket_root(scan, r, found, min(rho, RADIUS_CAP), tol)
+        probes += more
+    if hi == RADIUS_CAP < rho:
+        value, theta = scan(RADIUS_CAP)
+        probes += 1
+        if value > 0.0:
+            cap = BoundaryScan(RADIUS_CAP, grid_size, value, theta)
+            return RadiusResult(1.0, cap, probes, tol, clamped=True)
     witness = None if found is None else BoundaryScan(r, grid_size, *found)
-    return RadiusResult(r, witness, probes + (rho > RADIUS_CAP), tol, clamped=False)
+    return RadiusResult(r, witness, probes, tol, clamped=False)
+
+
+def _graeffe_bound(coeffs: np.ndarray) -> float:
+    """Certified lower bound on the root moduli of the polynomial with
+    ``coeffs``, found with no eigenvalues.
+
+    Zero coefficients of the highest powers are trimmed, which leaves degree
+    d; a constant (d = 0) has no zeros and gets inf.  Three Graeffe
+    squarings h(z^2) = p(z) p(-z), each the even entries of one
+    ``np.convolve``, give a degree-d h whose zeros are the eighth powers of
+    p's.  If |w| <= x, then |h(w)| >= |h_0| - sum_{k>=1} |h_k| x^k, so every
+    zero of h lies beyond the positive root x of Cauchy's equation
+    |h_0| = sum_{k>=1} |h_k| x^k, and every zero of p lies beyond x^(1/8).
+    This is the k = 0 case of Pellet's test (Becker, Sagraloff, Sharma and
+    Yap, J. Symbolic Comput. 86, 2018).  The bound is at least
+    (2^(1/d) - 1)^(1/8) times the least root modulus, 0.63 times at d = 29.
+
+    Rounding.  Let A be the same squarings of the moduli |c_k| with no
+    signs (one more ``np.convolve`` each).  It bounds the moduli of the
+    exact coefficients and, to first order, of the computed ones.  Each
+    entry of a computed convolution is a sum of at most d + 1 complex
+    products, so it errs by at most gamma_{d+3} times the sum of the
+    products' moduli, where u = 2^-53 and gamma_n = n u / (1 - n u) (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, Lemma 3.5 and
+    section 3.1).  If the inputs of a squaring err by at most eta A, entry
+    by entry, then its outputs err by at most
+    ((1 + eta)^2 (1 + gamma_{d+3}) - 1) A', and after three squarings by
+    (1 + gamma_{d+3})^7 - 1, about 7 gamma_{d+3}.  gamma = 2(d + 3) u is
+    about twice gamma_{d+3}.  So e = 8 gamma A bounds the error of the
+    computed h, with room for the rounding of A itself, of the moduli and of
+    the sums below.  It is solved for
+    |h_0| - e_0 = sum_{k>=1} (|h_k| + e_k) x^k, whose root lies below the
+    exact one.  Newton steps on the logarithm of both sides, whose right
+    side is convex in log x, descend onto that root from the upper bound
+    min_k ((|h_0| - e_0) / (|h_k| + e_k))^(1/k).  The last step is then
+    lowered until the right side, evaluated by Horner's rule and times
+    1 + gamma (covering that rule's gamma_{2d+1}), falls below the left.
+    Three correctly rounded square roots and a factor 1 - 4u round x^(1/8)
+    down.  With nonzero moduli in [2^-32, 2^32], every nonzero product of
+    eight lies in [2^-256, 2^256], so nothing that matters underflows and
+    the quotients above stay finite; other moduli give the bound 0.0, as
+    does e_0 >= |h_0|.
+    """
+    nonzero = np.flatnonzero(coeffs)
+    h = coeffs[: nonzero[-1] + 1 if nonzero.size else 0]
+    d = h.size - 1
+    if d < 1:
+        return math.inf
+    mag = np.abs(h)
+    moduli = mag[mag > 0.0]
+    if moduli.min() < 2.0**-32 or moduli.max() > 2.0**32:
+        return 0.0
+    sign = np.resize([1.0, -1.0], d + 1)
+    for _ in range(3):
+        h = np.convolve(h, h * sign)[::2]
+        mag = np.convolve(mag, mag)[::2]
+    gamma = 2.0 * (d + 3) * _UNIT_ROUNDOFF
+    err = 8.0 * gamma * mag
+    b = float(abs(h[0]) - err[0])
+    if not b > 0.0:
+        return 0.0
+    a = list(enumerate((np.abs(h[1:]) + err[1:]).tolist(), 1))
+    x = min((b / c) ** (1.0 / k) for k, c in a if c > 0.0)
+    pairs = [(c, k * c) for k, c in reversed(a)]
+
+    def horner(x: float) -> tuple[float, float]:
+        """sum_{k>=1} a_k x^(k-1) and sum_{k>=1} k a_k x^(k-1)."""
+        g = slope = 0.0
+        for c, kc in pairs:
+            g = g * x + c
+            slope = slope * x + kc
+        return g, slope
+
+    while True:
+        g, slope = horner(x)
+        step = math.log(g * x / b) * g / slope
+        if not step > 1e-14:
+            break
+        x *= math.exp(-step)
+    shrink = gamma
+    while horner(x)[0] * x * (1.0 + gamma) >= b:
+        x *= 1.0 - shrink
+        shrink *= 2.0
+    return math.sqrt(math.sqrt(math.sqrt(x))) * (1.0 - 4.0 * _UNIT_ROUNDOFF)
 
 
 def _guard_bound(coeffs: np.ndarray) -> float:
@@ -474,32 +584,35 @@ def _root_discs(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _bracket_root(
-    probe: Callable[[float], tuple], hi: float, f_hi: float, tol: float
-) -> tuple[float, tuple | None, int]:
-    """Largest passing radius in [0, hi] to within ``tol``.
+    probe: Callable[[float], tuple], lo: float, data: tuple | None, hi: float, tol: float
+) -> tuple[float, float, tuple | None, int]:
+    """Largest passing radius in [lo, hi] to within ``tol``.
 
-    ``probe(r)`` returns a tuple (f, ...) and r passes when f > 0.  The
-    bracket starts from lo = 0, which passes with f = 1 (c_1 of a normalized
-    series), and ``hi``, which fails with value ``f_hi`` (-inf if it has none).
+    ``probe(r)`` returns a tuple (f, ...) and r passes when f > 0.  ``lo``
+    passes with the probe tuple ``data``, or with f = 1 when ``data`` is None
+    (lo = 0, where f is c_1 of a normalized series).  ``hi`` fails and has
+    no value: it is a guard bound, never probed, or the cap, probed last.
     Steps are Anderson-Bjorck regula falsi: the secant root of the bracket's
     values, where an end kept twice in a row has its value scaled down so
-    that both ends close in.  A step bisects instead while the failing end
-    has no finite value, on the first probe (m falls steeply near a guard
-    zero, so the secant through f(0) = 1 lands near 0), and whenever a
-    secant step that fails to shrink the bracket would leave too few probes
-    to finish by bisection; so a solve never takes more than
-    ceil(log2(max(hi, tol) / tol)) + 4 probes, and none when hi = 0.  Stops
-    when hi - lo <= tol and returns (lo, the tuple of the probe at lo or
-    None when lo = 0, probes made).
+    that both ends close in.  A step bisects instead until a probe fails,
+    so the failing end has a value (m falls steeply near a guard zero, so
+    a secant through f(0) = 1 would land near 0), and whenever a secant step
+    that fails to shrink the bracket would leave too few probes to finish
+    by bisection; so a search never takes more than
+    ceil(log2(max(hi - lo, tol) / tol)) + 4 probes, and none when
+    hi - lo <= tol.  Stops when hi - lo <= tol and returns (lo, hi, the
+    tuple of the probe at lo or ``data``, probes made); ``hi`` is returned
+    unchanged when no probe failed.
     """
-    lo, f_lo, data = 0.0, 1.0, None
-    budget = math.ceil(math.log2(max(hi, tol) / tol)) + 4
+    f_lo = 1.0 if data is None else data[0]
+    f_hi = -math.inf
+    budget = math.ceil(math.log2(max(hi - lo, tol) / tol)) + 4
     probes = 0
     passed_last: bool | None = None
     while hi - lo > tol:
         x = 0.5 * (lo + hi)
         secant_ok = hi - lo <= tol * 2.0 ** (budget - probes - 1)
-        if probes and math.isfinite(f_hi) and secant_ok:
+        if math.isfinite(f_hi) and secant_ok:
             x = (f_hi * lo - f_lo * hi) / (f_hi - f_lo)
             x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
         found = probe(x)
@@ -514,7 +627,7 @@ def _bracket_root(
                 f_lo *= _ab_factor(f, f_hi)
             hi, f_hi = x, f
         passed_last = f > 0.0
-    return lo, data, probes
+    return lo, hi, data, probes
 
 
 def _ab_factor(f_new: float, f_old: float) -> float:

@@ -84,6 +84,8 @@ def _radius(value, closed: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValidationError(f"radius must be a real number, got {value!r}")
     if not ((0.0 <= value if closed else 0.0 < value) and value < 1.0):
+        if isinstance(value, int) and abs(value) >= 10**300:
+            value = "an integer of more than 300 digits"
         raise ValidationError(f"radius must lie in {'[' if closed else '('}0, 1), got {value}")
     return float(value)
 

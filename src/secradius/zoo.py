@@ -126,7 +126,8 @@ def p_coeffs(spec: HerglotzSpec, order: int) -> np.ndarray:
     powers = spec.points[None, :] ** np.arange(1, order + 1)[:, None]
     p = np.empty(order + 1, dtype=np.complex128)
     p[0] = 1.0
-    p[1:] = 2.0 * powers @ spec.weights.astype(np.complex128)
+    # row by row, so p_j does not depend on how many coefficients are asked for
+    p[1:] = 2.0 * (powers * spec.weights).sum(axis=1)
     return p
 
 

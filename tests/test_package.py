@@ -116,6 +116,10 @@ def _argument_cases():
                 yield pytest.param(fn, {**kwargs, name: bad}, "must be a real number", id=case_id)
             case_id = f"{fn.__name__}-{name}=10**400"
             yield pytest.param(fn, {**kwargs, name: 10**400}, "must lie in", id=case_id)
+            # more digits than Python will convert to a string
+            case_id = f"{fn.__name__}-{name}=10**5000"
+            message = "must lie in .*, got an integer of more than 300 digits$"
+            yield pytest.param(fn, {**kwargs, name: 10**5000}, message, id=case_id)
     for fn, kwargs, name in _SCALAR_TABLE:
         good = kwargs[name]
         for bad, message in ((None, "must be numbers"), (str(good), "must be numbers"),

@@ -14,6 +14,7 @@ from secradius.radius import (
     Criterion,
     _field_parts,
     _field_scan,
+    _graeffe_bound,
     _guard_bound,
     _point_jet,
     _root_discs,
@@ -27,7 +28,7 @@ from secradius.series import TruncatedSeries, section
 from secradius.zoo import f0, koebe, rotation, sample_specs, synthesize_F
 
 try:
-    from hypothesis import assume, given, settings
+    from hypothesis import assume, example, given, settings
     from hypothesis import strategies as st
 
     HAS_HYPOTHESIS = True
@@ -363,8 +364,9 @@ def test_boundary_min_no_worse_than_golden_refinement():
                     assert value <= golden + 1e-10 * max(1.0, abs(golden))
 
 
-def test_newton_refinement_takes_few_evaluations(monkeypatch):
-    """Starlike scans of f0(2..30) at r = 0.3 average at most 6 jet evaluations."""
+@pytest.fixture
+def jet_evaluations(monkeypatch):
+    """Jet evaluations of each field that a scan prepares, one entry per field."""
     evaluations = []
     build = radius_module._point_jet
 
@@ -379,10 +381,29 @@ def test_newton_refinement_takes_few_evaluations(monkeypatch):
         return counted
 
     monkeypatch.setattr(radius_module, "_point_jet", counted_build)
+    return evaluations
+
+
+def test_newton_refinement_takes_few_evaluations(jet_evaluations):
+    """Starlike scans of f0(2..30) at r = 0.3 average at most 6 jet evaluations."""
     for n in range(2, 31):
         boundary_min(f0(n), Criterion.STARLIKENESS, 0.3, 512)
-    assert len(evaluations) == 29
-    assert sum(evaluations) <= 6 * len(evaluations)
+    assert len(jet_evaluations) == 29
+    assert sum(jet_evaluations) <= 6 * len(jet_evaluations)
+
+
+def test_newton_starts_at_the_grid_parabola_vertex(jet_evaluations):
+    """Scans of the 33 complex sampled sections, under every field criterion
+    at r = 0.1, 0.3 and 0.45 on grid 512, average at most 2.8 jet
+    evaluations: Newton starts at the vertex of the parabola through the
+    grid argmin and its neighbours (about 2.4; starting at the grid argmin
+    itself takes about 3.3)."""
+    for s in _sampled_sections():
+        for criterion in FIELD_CRITERIA:
+            for r in (0.1, 0.3, 0.45):
+                boundary_min(s, criterion, r, 512)
+    assert len(jet_evaluations) == 33 * 3 * 3
+    assert sum(jet_evaluations) <= 2.8 * len(jet_evaluations)
 
 
 def test_boundary_min_domain_checks():
@@ -609,9 +630,17 @@ def test_local_univalence_radius_is_the_guard_bound(monkeypatch):
 
 def test_radius_probes_stay_below_the_guard_bound(monkeypatch):
     """Every circle a field criterion's solve scans lies strictly inside the
-    guard bound and at most at the cap, so no probe meets a pole."""
+    guard bound that the solve used and at most at the cap, so no probe
+    meets a pole.  That bound is the root-free one, or the larger of it and
+    the discs' when the search reached it."""
     probed = []
+    discs = []
     build = radius_module._field_scan
+    guard_bound = radius_module._guard_bound
+
+    def recording_bound(coeffs):
+        discs.append(guard_bound(coeffs))
+        return discs[-1]
 
     def recording_build(parts, grid):
         scan = build(parts, grid)
@@ -623,12 +652,14 @@ def test_radius_probes_stay_below_the_guard_bound(monkeypatch):
         return recording
 
     monkeypatch.setattr(radius_module, "_field_scan", recording_build)
-    for s in _sampled_sections():
+    monkeypatch.setattr(radius_module, "_guard_bound", recording_bound)
+    for s in _sampled_sections() + [f0(n) for n in range(2, 31)]:
         for criterion in FIELD_CRITERIA:
             probed.clear()
+            discs.clear()
             criterion_radius(s, criterion)
             den = _field_parts(s, criterion)[1]
-            rho = math.inf if den is None else _guard_bound(den)
+            rho = math.inf if den is None else max([_graeffe_bound(den)] + discs)
             assert probed
             assert all(r < rho and r <= RADIUS_CAP for r in probed)
 
@@ -696,9 +727,9 @@ def test_radius_solve_makes_no_zero_count(count_zeros_radii):
 def test_radius_guard_bound_path_survives_misplaced_rho(monkeypatch, count_zeros_radii):
     """A root finder that puts the zero of s' at -0.9 instead of -1/3 does
     not widen the bracket: the Gerschgorin correction in the guard bound
-    moves the approximation back onto the zero.  Convexity still lands on
-    1/6, and local univalence, which only the guard binds, within tol below
-    1/3."""
+    moves the approximation back onto the zero.  Convexity, bracketed by
+    the root-free bound, still lands on 1/6, and local univalence, which
+    only the discs bind, within tol below 1/3."""
     monkeypatch.setattr(np, "roots", lambda c: np.array([-0.9 + 0j]))
     res = criterion_radius(S2, Criterion.CONVEXITY)
     assert 1.0 / 6.0 - res.tol <= res.radius <= 1.0 / 6.0
@@ -710,11 +741,65 @@ def test_radius_guard_bound_path_survives_misplaced_rho(monkeypatch, count_zeros
 
 
 def test_radius_coincident_root_approximations_give_zero(monkeypatch):
-    """Coincident approximations certify no disc: radius 0 without a probe."""
+    """Coincident approximations certify no disc, so the discs' bound is 0.
+    A solve that also has a root-free bound of 0 has the empty bracket:
+    radius 0 without a probe.  The discs alone do not zero a convex radius
+    that the root-free bound brackets."""
+    convex = criterion_radius(S3, Criterion.CONVEXITY).radius
     monkeypatch.setattr(np, "roots", lambda c: np.full(c.size - 1, -0.5 + 0j))
+    assert _guard_bound(_field_parts(S3, Criterion.CONVEXITY)[1]) == 0.0
+    assert criterion_radius(S3, Criterion.CONVEXITY).radius == convex > 0.2
+    monkeypatch.setattr(radius_module, "_graeffe_bound", lambda coeffs: 0.0)
+    monkeypatch.setattr(radius_module, "_guard_bound", lambda coeffs: 0.0)
     res = criterion_radius(S3, Criterion.CONVEXITY)
     assert res.radius == 0.0 and res.witness is None and not res.clamped
     assert res.iterations == 0
+
+
+def test_radius_falls_back_to_the_discs_when_the_search_reaches_the_cheap_bound(
+    monkeypatch,
+):
+    """s = z (1 + (z/0.9)^8): the guard s/z has its 8 zeros on |z| = 0.9 with
+    equal eighth powers, where the root-free bound is at its loosest, 0.667,
+    below the starlike radius 0.9 * 9^(-1/8) = 0.684; likewise 0.506 for the
+    guard s' against the convex radius 0.9 / sqrt(3) = 0.520.  The search
+    reaches the cheap bound, one np.roots call lifts it to the discs', and a
+    second search finds each radius within tol of the closed form and of
+    the radius found when the discs alone bracket the search (the values
+    listed, 3.2e-11 and 2.5e-11 below the closed forms)."""
+    roots = []
+    original = np.roots
+
+    def counting(c):
+        roots.append(c)
+        return original(c)
+
+    monkeypatch.setattr(np, "roots", counting)
+    c = np.zeros(10)
+    c[1], c[9] = 1.0, 0.9**-8
+    s = TruncatedSeries(c)
+    for criterion, expected, discs_only in (
+        (Criterion.STARLIKENESS, 0.9 * 9.0**-0.125, 0.6838521170539431),
+        (Criterion.CONVEXITY, 0.9 / math.sqrt(3.0), 0.5196152422459761),
+    ):
+        guard = _field_parts(s, criterion)[1]
+        assert _graeffe_bound(guard) < expected < _guard_bound(guard)
+        roots.clear()
+        res = criterion_radius(s, criterion)
+        assert len(roots) == 1
+        assert expected - res.tol <= res.radius <= expected + 1e-15
+        assert abs(res.radius - discs_only) <= res.tol
+        assert res.witness is not None and res.witness.min_value > 0.0
+
+
+def test_radius_solves_make_no_root_finder_call_on_known_sections(monkeypatch):
+    """The root-free bound brackets every field solve on f0(2..30),
+    koebe(5..40) and the sampled sections without np.roots."""
+    monkeypatch.setattr(np, "roots", lambda c: pytest.fail("np.roots was called"))
+    sections = _sampled_sections() + [f0(n) for n in range(2, 31)]
+    for s in sections + [koebe(n) for n in range(5, 41)]:
+        for criterion in FIELD_CRITERIA:
+            criterion_radius(s, criterion)
 
 
 def test_guard_bound_ignores_zero_high_coefficients():
@@ -728,9 +813,21 @@ def test_guard_bound_ignores_zero_high_coefficients():
             for got, want in zip(_root_discs(padded), _root_discs(coeffs)):
                 assert np.array_equal(got, want)
             assert _guard_bound(padded) == _guard_bound(coeffs)
+            assert _graeffe_bound(padded) == _graeffe_bound(coeffs)
     for coeffs in (np.zeros(4, dtype=complex), np.array([2.0, 0.0, 0.0]), np.zeros(0)):
         assert all(d.size == 0 for d in _root_discs(coeffs))
         assert _guard_bound(coeffs) == math.inf
+        assert _graeffe_bound(coeffs) == math.inf
+
+
+def test_graeffe_bound_gives_zero_where_it_certifies_nothing():
+    """A zero at the origin, and moduli that three squarings could underflow
+    or overflow, give the bound 0.0."""
+    assert _graeffe_bound(np.array([0.0, 1.0, 2.0])) == 0.0
+    assert _graeffe_bound(np.array([1.0, 2.0**-33])) == 0.0
+    assert _graeffe_bound(np.array([1.0, 0.0, 2.0**33])) == 0.0
+    assert 0.0 < _graeffe_bound(np.array([1.0, 0.0, 2.0**32])) <= 2.0**-16
+    assert 0.0 < _graeffe_bound(np.array([2.0**-32] + [2.0**32] * 40)) < 2.0**-64
 
 
 def _dyadic_guard(keys, lead):
@@ -770,6 +867,20 @@ if HAS_HYPOTHESIS:
         )
         low = _guard_bound(coeffs)
         assert zeta_min - 1e-12 * max(zeta_min, kappa) <= low <= zeta_min
+
+    @given(_ZERO_SETS, _LEADS)
+    @example([(8, 0), (0, 8), (-8, 0), (0, -8)], 3.0)
+    @example([(48, 5), (-5, 48), (-48, -5), (5, -48)], 0.125)
+    @settings(max_examples=300, deadline=None)
+    def test_graeffe_bound_is_certified_within_the_cauchy_ratio(keys, lead):
+        """zeta_min (2^(1/d) - 1)^(1/8) (1 - 1e-9) <= bound <= zeta_min.
+        The examples are Cauchy's worst case: zeros whose eighth powers
+        coincide, so the lower end is attained up to rounding."""
+        zeros, coeffs = _dyadic_guard(keys, lead)
+        zeta_min = float(np.min(np.abs(zeros)))
+        ratio = (2.0 ** (1.0 / zeros.size) - 1.0) ** 0.125
+        low = _graeffe_bound(coeffs)
+        assert zeta_min * ratio * (1.0 - 1e-9) <= low <= zeta_min
 
     @given(_ZERO_SETS, _LEADS, st.integers(0, 2**32 - 1))
     @settings(max_examples=300, deadline=None)
