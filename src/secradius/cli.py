@@ -31,7 +31,7 @@ import numpy as np
 
 from .exceptions import SecradiusError, ValidationError
 from .radius import Criterion, criterion_radius
-from .series import TruncatedSeries, _numbers, section
+from .series import TruncatedSeries, _numbers
 from .verify import (
     VerificationReport,
     classical_radius_scan,
@@ -167,7 +167,7 @@ def _section_series(args, parser: argparse.ArgumentParser) -> TruncatedSeries:
     if args.spec_file is None:
         parser.error("--function spec-file requires --spec-file")
     spec = _load_spec_file(args.spec_file, args.index or 0)
-    return section(synthesize_F(spec, order=max(n, 64)), n)
+    return synthesize_F(spec, order=n)
 
 
 def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
@@ -250,7 +250,7 @@ def _cmd_plot(args, parser: argparse.ArgumentParser) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
     for r in args.r:
-        curve = figure1_curves(r, **_library_kwargs(args, "samples"))
+        curve = figure1_curves(r)
         path = outdir / f"cube_kernel_r{r!r}.svg"
         path.write_text(_svg_document(curve), encoding="utf-8")
         written.append(str(path))
@@ -260,22 +260,23 @@ def _cmd_plot(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_scan(args, parser: argparse.ArgumentParser) -> int:
-    kwargs = _library_kwargs(args, "grid", "tol")
+    sections = {}
     if args.sections is not None:
-        kwargs["n_min"], kwargs["n_max"] = args.sections
-    n_min = kwargs.get("n_min")
-    sampling = _library_kwargs(args, "count", "atom_count", "seed")
+        sections["n_min"], sections["n_max"] = args.sections
+    n_min = sections.get("n_min")
+    # the classical scan is a fixed experiment: only conjecture2 takes these
+    settings = _library_kwargs(args, "count", "atom_count", "seed", "grid", "tol")
     if args.target == "conjecture2":
         if n_min is not None and n_min < 2:
             parser.error("conjecture2 sections start at n = 2")
-        report = conjecture2_scan(**kwargs, **sampling)
+        report = conjecture2_scan(**sections, **settings)
         found = bool(report.parameters["counterexample_found"])
     else:
         if n_min is not None and n_min < 5:
             parser.error("the classical threshold is stated for n >= 5")
-        if sampling:
-            parser.error("--count, --atom-count and --seed need --target conjecture2")
-        report = classical_radius_scan(**kwargs)
+        if settings:
+            parser.error("--count, --atom-count, --seed, --grid and --tol need --target conjecture2")
+        report = classical_radius_scan(**sections)
         found = not report.passed
     _emit(_report_payload(report), args.out)
     if found:
@@ -338,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated radii in (0, 1)",
     )
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--samples", type=_at_least(int, 8), help="points per curve")
     p.set_defaults(func=_cmd_plot)
 
     p = sub.add_parser("scan", help="advisory starlikeness scans")
@@ -352,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--atom-count", type=_at_least(int, 1), help="atoms per spec (conjecture2)")
     p.add_argument("--sections", type=_section_range, help="inclusive section range a..b")
     p.add_argument("--seed", type=_at_least(int, 0), help="sampling seed (conjecture2)")
-    p.add_argument("--grid", type=_at_least(int, 16), help="boundary grid size")
-    p.add_argument("--tol", type=_at_least(float, 1e-12), help="radius tolerance")
+    p.add_argument("--grid", type=_at_least(int, 16), help="boundary grid size (conjecture2)")
+    p.add_argument("--tol", type=_at_least(float, 1e-12), help="radius tolerance (conjecture2)")
     p.add_argument("--out", help="report path (default: standard output)")
     p.set_defaults(func=_cmd_scan)
 

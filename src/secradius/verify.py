@@ -6,8 +6,8 @@ positive-derivative radius argument for the family F:
 * ``min_g``:   min of g(theta) = 1 + cos(theta) + cos(2*theta)/2, equal to
   1/4 at theta = 2*pi/3 and 4*pi/3;
 * ``min_T``:   min of T(theta, phi) = g(theta) + cos(phi)/6, equal to 1/12;
-* ``min_re_cube_kernel``: min of Re (1-z)^{-3} on |z| = r, equal to 27/64
-  at r = 1/3 (computed two independent ways and cross-checked);
+* ``min_re_cube_kernel``: min of Re (1-z)^{-3} on |z| = 1/3, equal to 27/64
+  (computed two independent ways and cross-checked);
 * ``n4_margin``: 27/64 - 73/216 = 145/1728, the slack that closes the
   argument for every section order n >= 4;
 * ``sharpness_witnesses``: the radii 1/3, 1/6 and sqrt(13/96) attained by
@@ -18,6 +18,9 @@ positive-derivative radius argument for the family F:
   it reports observations and never asserts the conjecture;
 * ``classical_radius_scan``: Koebe sections against the classical
   1 - (3/n) log n starlikeness threshold.
+
+The cube kernel, the classical scan and ``figure1_curves`` are fixed
+experiments: their settings are module constants, not arguments.
 
 Every item records expected/computed/tolerance plus an optional (r, theta)
 witness and derives its verdict from them, and a report is reproducible bit
@@ -66,9 +69,13 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 
-# scan grid of the constant checks and the randomized suite; min_T's phi grid
+# scan grid of the constant checks, the randomized suite and the classical
+# scan; min_T's phi grid
 _GRID = 2048
 _PHI_GRID = 64
+_CUBE_RADIUS = 1.0 / 3.0  # where the paper states the cube-kernel constant
+_CLASSICAL_TOL = 1e-9  # radius tolerance of the classical scan
+_CURVE_SAMPLES = 2048  # points per figure curve
 
 #: Evaluation radius of the randomized suite: the open-disc statement is
 #: checked just inside 1/3, where the extremal's margin is 3e-6, not 0.
@@ -166,21 +173,21 @@ def min_T() -> VerificationItem:
     )
 
 
-def cube_min_by_boundary(r: float) -> tuple[float, float]:
-    """Path (i): minimum of Re (1-z)^{-3} on |z| = r; (value, theta).
+def cube_min_by_boundary() -> tuple[float, float]:
+    """Path (i): minimum of Re (1-z)^{-3} on |z| = 1/3; (value, theta).
 
     A ``_GRID``-point scan followed by Newton refinement on the analytic
     theta-derivative of the kernel, through the same scan as
-    :func:`boundary_min`; theta lies in [0, pi].  At r = 1/3 the minimum at
-    theta = pi is quartic (the second derivative vanishes there), so the
-    Newton steps shrink only by about a third each and the refinement takes
-    about 43 evaluations.
+    :func:`boundary_min`; theta lies in [0, pi].  The minimum at theta = pi
+    is quartic (the second derivative vanishes there), so the Newton steps
+    shrink only by about a third each and the refinement takes about 43
+    evaluations.
     """
-    return _field_scan((np.ones(1), np.array([1.0, -3.0, 3.0, -1.0])), _GRID)(_radius(r))
+    return _field_scan((np.ones(1), np.array([1.0, -3.0, 3.0, -1.0])), _GRID)(_CUBE_RADIUS)
 
 
 def cube_min_by_cubic() -> float:
-    """Path (ii), r = 1/3 only: minimize the cubic reduction over x in [-1, 1].
+    """Path (ii): minimize the cubic reduction over x in [-1, 1].
 
     Writing x = cos(theta) turns the r = 1/3 boundary restriction of
     Re (1-z)^{-3} into p(x) = (9/8)^3 [2/3 + 8x/9 + 2x^2/3 + 4x^3/27]; the
@@ -204,36 +211,28 @@ def cube_min_by_cubic() -> float:
     return min(p(x) for x in candidates)
 
 
-def min_re_cube_kernel(r: float) -> VerificationItem:
-    """Minimum of Re (1-z)^{-3} over |z| = r, cross-checked at r = 1/3.
+def min_re_cube_kernel() -> VerificationItem:
+    """Minimum of Re (1-z)^{-3} over |z| = 1/3, expected to be 27/64.
 
-    At r = 1/3 the boundary-sampling path and the cubic-reduction path must
-    agree within 1e-9 (else :class:`CrossCheckError`), and the known value
-    27/64 becomes the expectation; at other radii the item is informational.
+    The boundary-sampling path and the cubic-reduction path must agree
+    within 1e-9, else :class:`CrossCheckError`.
     """
-    value, theta = cube_min_by_boundary(r)
-    at_third = abs(r - 1.0 / 3.0) < 1e-12
-    expected = None
-    if at_third:
-        other = cube_min_by_cubic()
-        if abs(other - value) > 1e-9:
-            raise CrossCheckError(
-                f"boundary path {value!r} vs cubic path {other!r} disagree at r=1/3"
-            )
-        expected = 27.0 / 64.0
-    label = "1/3" if at_third else repr(float(r))
+    value, theta = cube_min_by_boundary()
+    other = cube_min_by_cubic()
+    if abs(other - value) > 1e-9:
+        raise CrossCheckError(f"boundary path {value!r} vs cubic path {other!r} disagree at r=1/3")
     return VerificationItem(
-        f"min_re_cube_kernel_{label}",
+        "min_re_cube_kernel_1/3",
         value,
-        expected=expected,
+        expected=27.0 / 64.0,
         tolerance=1e-9,
-        witness=(r, theta),
+        witness=(_CUBE_RADIUS, theta),
     )
 
 
 def n4_margin() -> VerificationItem:
     """27/64 + k_tail(4) = 145/1728, the strict positivity margin at n = 4."""
-    base = min_re_cube_kernel(1.0 / 3.0)
+    base = min_re_cube_kernel()
     computed = base.computed + k_tail(4)
     return VerificationItem(
         "n4_margin",
@@ -407,21 +406,20 @@ def conjecture2_scan(
     return VerificationReport(tuple(items), seed, parameters, GENERATOR_NAME)
 
 
-def classical_radius_scan(
-    n_min: int = 5, n_max: int = 40, tol: float = 1e-9, grid: int = 2048
-) -> VerificationReport:
+def classical_radius_scan(n_min: int = 5, n_max: int = 40) -> VerificationReport:
     """Koebe sections against the classical starlikeness threshold.
 
     For each n in [n_min, n_max] the starlikeness radius of the degree-n
-    Koebe section is computed and checked against 1 - (3/n) log n - 1e-6.
-    Two items per n: the radius itself (informational) and the threshold
-    violation (must be exactly 0).
+    Koebe section is computed (tolerance ``_CLASSICAL_TOL``, grid ``_GRID``)
+    and checked against 1 - (3/n) log n - 1e-6.  Two items per n: the
+    radius itself (informational) and the threshold violation (must be
+    exactly 0).
     """
     n_min = _integer(n_min, 5, "n_min")
     n_max = _integer(n_max, n_min, "n_max")
     items: list[VerificationItem] = []
     for n in range(n_min, n_max + 1):
-        res = criterion_radius(koebe(n), Criterion.STARLIKENESS, tol, grid)
+        res = criterion_radius(koebe(n), Criterion.STARLIKENESS, _CLASSICAL_TOL, _GRID)
         threshold = 1.0 - (3.0 / n) * math.log(n) - 1e-6
         witness = _radius_witness(res)
         items.append(VerificationItem(f"classical_radius_n{n}", res.radius, witness=witness))
@@ -437,22 +435,22 @@ def classical_radius_scan(
     parameters = {
         "n_min": n_min,
         "n_max": n_max,
-        "tol": tol,
-        "grid": grid,
+        "tol": _CLASSICAL_TOL,
+        "grid": _GRID,
         "threshold_slack": 1e-6,
     }
     return VerificationReport(tuple(items), 0, parameters, "deterministic")
 
 
-def figure1_curves(r: float, samples: int = 2048) -> np.ndarray:
+def figure1_curves(r: float) -> np.ndarray:
     """Closed image curve of |z| = r under the cube kernel 1/(1-z)^3.
 
     Parametrized as w(theta) = (1 + r e^{i theta})^3 / (1 - r^2)^3, which
-    traces the same curve; the returned array includes both endpoints
-    (theta = 0 and 2*pi), so first and last points coincide.
+    traces the same curve; the returned ``_CURVE_SAMPLES`` points include
+    both endpoints (theta = 0 and 2*pi), so first and last points coincide.
     """
     r = _radius(r)
-    thetas = np.linspace(0.0, _TWO_PI, _integer(samples, 8, "samples"))
+    thetas = np.linspace(0.0, _TWO_PI, _CURVE_SAMPLES)
     return (1.0 + r * np.exp(1j * thetas)) ** 3 / (1.0 - r * r) ** 3
 
 
@@ -464,7 +462,7 @@ def full_suite(tol: float = 1e-9, **suite) -> VerificationReport:
     """
     sharpness = sharpness_witnesses(tol)  # first, so a bad tol fails before any work
     t1 = theorem1_suite(**suite)
-    items = [min_g(), min_T(), min_re_cube_kernel(1.0 / 3.0), n4_margin(), *sharpness, *t1.items]
+    items = [min_g(), min_T(), min_re_cube_kernel(), n4_margin(), *sharpness, *t1.items]
     parameters = dict(t1.parameters)
     parameters["tol"] = tol
     return VerificationReport(tuple(items), t1.seed, parameters, GENERATOR_NAME)

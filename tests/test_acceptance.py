@@ -95,7 +95,7 @@ def test_criterion_02_min_T(capfd):
 
 
 def test_criterion_03_cube_kernel_two_paths(capfd):
-    by_boundary, _theta = cube_min_by_boundary(1.0 / 3.0)
+    by_boundary, _theta = cube_min_by_boundary()
     by_cubic = cube_min_by_cubic()
     ok = (
         abs(by_boundary - CUBE_MIN) <= 1e-9

@@ -318,6 +318,33 @@ def test_spec_file_radius_round_trip(tmp_path, capsys):
     assert payload["radius"] == expected
 
 
+def test_spec_file_radius_synthesizes_at_the_section_order(tmp_path, capsys, monkeypatch):
+    """A spec-file section is synthesized at its own order, below and above 64."""
+    specs = tmp_path / "specs.json"
+    assert main(["sample", "--count", "2", "--seed", "5", "--out", str(specs)]) == 0
+    capsys.readouterr()
+    orders = []
+
+    def recording(spec, order):
+        orders.append(order)
+        return synthesize_F(spec, order)
+
+    monkeypatch.setattr(cli, "synthesize_F", recording)
+    argv = ["radius", "--function", "spec-file", "--spec-file", str(specs), "--index", "1",
+            "--criterion", "starlike", "--section"]
+    assert main([*argv, "8"]) == 0
+    assert orders == [8]
+    capsys.readouterr()
+    assert main([*argv, "70"]) == 0
+    shown = capsys.readouterr().out
+    spec = spec_from_seed(json.loads(specs.read_text())["specs"][1]["seed"], 3)
+    res = criterion_radius(synthesize_F(spec, 70), Criterion.STARLIKENESS)
+    expected = {"radius": res.radius, "witness_theta": res.witness.argmin_theta,
+                "clamped": res.clamped}
+    assert shown == json.dumps(expected) + "\n"
+    assert orders == [8, 70]
+
+
 def test_sample_usage_errors():
     for flag in (["--count", "0"], ["--atom-count", "0"], ["--seed", "-1"]):
         with pytest.raises(SystemExit) as err:
@@ -340,8 +367,7 @@ def test_sample_io_error(tmp_path, capsys):
 def test_plot_writes_svg_documents(tmp_path, capsys):
     code, payload = _run_json(
         capsys,
-        ["plot", "--r", "0.3333333333333333,0.5", "--samples", "256",
-         "--out", str(tmp_path)],
+        ["plot", "--r", "0.3333333333333333,0.5", "--out", str(tmp_path)],
     )
     assert code == 0
     assert len(payload["written"]) == 2
@@ -360,7 +386,7 @@ def test_plot_writes_svg_documents(tmp_path, capsys):
 
 def test_plot_file_names_embed_radius(tmp_path, capsys):
     code, payload = _run_json(
-        capsys, ["plot", "--r", "0.5", "--samples", "64", "--out", str(tmp_path)]
+        capsys, ["plot", "--r", "0.5", "--out", str(tmp_path)]
     )
     assert code == 0
     assert payload["written"][0].endswith("cube_kernel_r0.5.svg")
@@ -371,8 +397,9 @@ def test_plot_usage_errors(tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["plot", "--r", bad_r, "--out", str(tmp_path)])
         assert err.value.code == 2
+    # the figure curves have a fixed point count, so there is no --samples
     with pytest.raises(SystemExit) as err:
-        main(["plot", "--samples", "4", "--out", str(tmp_path)])
+        main(["plot", "--samples", "64", "--out", str(tmp_path)])
     assert err.value.code == 2
 
 
@@ -411,14 +438,15 @@ def test_scan_classical_small(capsys):
 @pytest.mark.parametrize(
     "argv, grid, tol",
     [
-        (["--target", "classical", "--sections", "5..6", "--tol", "1e-3", "--grid", "64"],
-         64, 1e-3),
+        (["--target", "conjecture2", "--count", "1", "--sections", "2..3", "--tol", "1e-3",
+          "--grid", "64"], 64, 1e-3),
         (["--target", "classical", "--sections", "5..5"], 2048, 1e-9),
         (["--target", "conjecture2", "--count", "1", "--sections", "2..3"], 512, 1e-7),
     ],
 )
 def test_scan_solver_flags_reach_report(capsys, argv, grid, tol):
-    """--grid and --tol reach both scans; unset, each scan keeps its default."""
+    """--grid and --tol reach the conjecture2 scan; unset, each scan keeps its
+    default (the classical scan's fixed settings)."""
     _code, payload = _run_json(capsys, ["scan", *argv])
     assert payload["parameters"]["grid"] == grid
     assert payload["parameters"]["tol"] == tol
@@ -467,8 +495,10 @@ def test_scan_usage_errors():
     with pytest.raises(SystemExit) as err:
         main(["scan", "--target", "conjecture2", "--seed", "-1"])
     assert err.value.code == 2
-    # the classical scan samples no specs, so the sampling flags cannot apply
-    for flag in (["--count", "9"], ["--atom-count", "2"], ["--seed", "3"]):
+    # the classical scan samples no specs and runs at fixed solver settings,
+    # so neither the sampling flags nor --grid and --tol apply
+    for flag in (["--count", "9"], ["--atom-count", "2"], ["--seed", "3"],
+                 ["--grid", "64"], ["--tol", "1e-7"]):
         with pytest.raises(SystemExit) as err:
             main(["scan", "--target", "classical", "--sections", "5..5", *flag])
         assert err.value.code == 2
@@ -495,7 +525,7 @@ def test_readme_report_schema_item_matches_library():
     text = README.read_text(encoding="utf-8")
     block = text.split("### Report schema (version 1)")[1].split("```json\n")[1]
     example = json.loads(block.split("```")[0])
-    assert example["items"] == [cli._item_payload(min_re_cube_kernel(1.0 / 3.0))]
+    assert example["items"] == [cli._item_payload(min_re_cube_kernel())]
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,6 @@ _ARGUMENT_TABLE = [
         ["grid_size"],
         [],
     ),
-    (verify.cube_min_by_boundary, {"r": 0.3}, [], ["r"]),
     (
         verify.theorem1_suite,
         {"count": 1, "atom_count": 2, "n_max": 3, "seed": 3},
@@ -87,11 +86,11 @@ _ARGUMENT_TABLE = [
     ),
     (
         verify.classical_radius_scan,
-        {"n_min": 5, "n_max": 6, "grid": 64},
-        ["n_min", "n_max", "grid"],
+        {"n_min": 5, "n_max": 6},
+        ["n_min", "n_max"],
         [],
     ),
-    (verify.figure1_curves, {"r": 0.3, "samples": 16}, ["samples"], ["r"]),
+    (verify.figure1_curves, {"r": 0.3}, [], ["r"]),
 ]
 
 #: Every public function that takes a single number that is not an order or
@@ -129,7 +128,7 @@ def _argument_cases():
 
 
 def test_argument_table_covers_every_checked_function():
-    assert len(_ARGUMENT_TABLE) == 23
+    assert len(_ARGUMENT_TABLE) == 22
     for fn, kwargs, *_names in _ARGUMENT_TABLE + _SCALAR_TABLE:
         fn(**kwargs)  # the unaltered arguments are accepted
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -132,7 +133,7 @@ def test_cubic_path_value():
 
 
 def test_boundary_path_agrees_at_one_third():
-    value, theta = cube_min_by_boundary(1.0 / 3.0)
+    value, theta = cube_min_by_boundary()
     assert abs(value - 27.0 / 64.0) < 1e-9
     # the minimum is quartically flat in theta at r = 1/3, so the angle is
     # only determined to roughly (1e-16)^(1/4) ~ 1e-4
@@ -140,36 +141,33 @@ def test_boundary_path_agrees_at_one_third():
 
 
 def test_boundary_path_off_third():
-    value, _ = cube_min_by_boundary(0.5)
+    """The field that cube_min_by_boundary scans, at other radii."""
+    scan = verify._field_scan((np.ones(1), np.array([1.0, -3.0, 3.0, -1.0])), verify._GRID)
+    value, _ = scan(0.5)
     assert abs(value) < 1e-6  # the image curve touches the imaginary axis
-    value_small, _ = cube_min_by_boundary(1e-6)
+    value_small, _ = scan(1e-6)
     assert abs(value_small - 1.0) < 1e-5
 
 
 def test_min_re_cube_kernel_item_names_and_expectation():
-    at_third = min_re_cube_kernel(1.0 / 3.0)
+    at_third = min_re_cube_kernel()
     assert at_third.name == "min_re_cube_kernel_1/3"
     assert at_third.expected == 27.0 / 64.0
     assert at_third.passed
     assert at_third.witness[0] == 1.0 / 3.0
 
-    elsewhere = min_re_cube_kernel(0.5)
-    assert elsewhere.name == "min_re_cube_kernel_0.5"
-    assert elsewhere.expected is None
-    assert elsewhere.passed
-
 
 def test_min_re_cube_kernel_cross_check_guard(monkeypatch):
     monkeypatch.setattr(verify, "cube_min_by_cubic", lambda: 0.5)
     with pytest.raises(CrossCheckError):
-        min_re_cube_kernel(1.0 / 3.0)
+        min_re_cube_kernel()
 
 
 def test_cube_min_domain():
-    with pytest.raises(ValidationError):
-        cube_min_by_boundary(0.0)
-    with pytest.raises(ValidationError):
-        cube_min_by_boundary(1.0)
+    """The cube-kernel constant is stated on |z| = 1/3 alone: no radius is taken."""
+    for fn in (cube_min_by_boundary, min_re_cube_kernel):
+        with pytest.raises(TypeError):
+            fn(0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +205,21 @@ def test_sharpness_witnesses():
         assert item.passed
         assert item.tolerance == 1e-6
         assert item.witness is not None and item.witness[0] == item.computed
+
+
+@pytest.mark.parametrize("tol, grid", [(1e-9, 2048), (1e-7, 512), (1e-12, 64)])
+def test_sharpness_radii_err_small_exactly(tol, grid):
+    """Each sharpness radius lies at most tol below its exact value and never
+    above it, compared exactly over the rationals."""
+    third, sixth, tol_q = Fraction(1, 3), Fraction(1, 6), Fraction(tol)
+    s2 = f0(2)
+    for criterion in (Criterion.RE_DERIV, Criterion.STARLIKENESS, Criterion.LOCAL_UNIVALENCE):
+        r = Fraction(criterion_radius(s2, criterion, tol, grid).radius)
+        assert third - tol_q <= r <= third, criterion
+    r = Fraction(criterion_radius(s2, Criterion.CONVEXITY, tol, grid).radius)
+    assert sixth - tol_q <= r <= sixth
+    r = Fraction(criterion_radius(f0(3), Criterion.RE_DERIV, tol, grid).radius)
+    assert r * r <= Fraction(13, 96) <= (r + tol_q) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +418,7 @@ def test_real_coefficient_witness_angles_lie_in_zero_to_pi():
         *classical_radius_scan().items,
         *sharpness_witnesses(),
         min_g(),
-        min_re_cube_kernel(1.0 / 3.0),
+        min_re_cube_kernel(),
     ]
     thetas = {item.name: item.witness[1] for item in items}
     sections = [(f"f0({n})", f0(n)) for n in range(2, 31)]
@@ -434,15 +447,18 @@ def test_classical_scan_validation():
 
 
 def test_figure_curve_is_closed():
-    curve = figure1_curves(0.5, samples=512)
+    curve = figure1_curves(0.5)
+    assert len(curve) == 2048
     assert abs(curve[0] - curve[-1]) < 1e-12
 
 
 def test_figure_curve_known_points():
-    curve = figure1_curves(1.0 / 3.0, samples=2049)
-    # theta = 0: 1/(1-r)^3; theta = pi (middle sample): 1/(1+r)^3
+    curve = figure1_curves(1.0 / 3.0)
+    # theta = 0: 1/(1-r)^3; theta = pi, where Re w is quartically flat and
+    # the two middle samples straddle it: 1/(1+r)^3
     assert abs(curve[0] - 27.0 / 8.0) < 1e-12
-    assert abs(curve[1024] - 27.0 / 64.0) < 1e-12
+    assert abs(curve[1023].real - 27.0 / 64.0) < 1e-11
+    assert abs(curve[1023] - np.conj(curve[1024])) < 1e-12
 
 
 def test_figure_curve_validation():
@@ -450,8 +466,6 @@ def test_figure_curve_validation():
         figure1_curves(0.0)
     with pytest.raises(ValidationError):
         figure1_curves(1.0)
-    with pytest.raises(ValidationError):
-        figure1_curves(0.5, samples=4)
 
 
 # ---------------------------------------------------------------------------
