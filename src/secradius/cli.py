@@ -20,6 +20,7 @@ shape; the library types decide its numbers, and an error names the entry.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -74,10 +75,12 @@ def _section_range(text: str) -> tuple[int, int]:
 
 
 def _radii(text: str) -> list[float]:
-    """``plot --r`` type: comma-separated radii, each in (0, 1)."""
+    """``plot --r`` type: comma-separated distinct radii, each in (0, 1)."""
     radii = [float(chunk) for chunk in text.split(",")]
     if not all(0.0 < r < 1.0 for r in radii):
         raise argparse.ArgumentTypeError(f"each radius must lie in (0, 1), got {text!r}")
+    if len(set(radii)) < len(radii):  # each radius names one output file
+        raise argparse.ArgumentTypeError(f"each radius must be given once, got {text!r}")
     return radii
 
 
@@ -170,7 +173,7 @@ def _section_series(args, parser: argparse.ArgumentParser) -> TruncatedSeries:
     return synthesize_F(spec, order=n)
 
 
-def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_verify(args) -> int:
     report = full_suite(
         **_library_kwargs(args, "count", "atom_count", "n_max", "seed", "tol")
     )
@@ -192,7 +195,7 @@ def _cmd_radius(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _cmd_sample(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_sample(args) -> int:
     specs = [
         {
             "weights": [float(w) for w in spec.weights],
@@ -245,7 +248,7 @@ def _svg_document(points) -> str:
     )
 
 
-def _cmd_plot(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_plot(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -322,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--grid", type=_at_least(int, 16), dest="grid_size", help="boundary grid size"
     )
-    p.set_defaults(func=_cmd_radius)
+    p.set_defaults(func=functools.partial(_cmd_radius, parser=p))
 
     p = sub.add_parser("sample", help="draw reproducible Herglotz specs")
     p.add_argument("--count", type=_at_least(int, 1), default=10, help="number of specs")
@@ -355,16 +358,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_at_least(int, 16), help="boundary grid size (conjecture2)")
     p.add_argument("--tol", type=_at_least(float, 1e-12), help="radius tolerance (conjecture2)")
     p.add_argument("--out", help="report path (default: standard output)")
-    p.set_defaults(func=_cmd_scan)
+    p.set_defaults(func=functools.partial(_cmd_scan, parser=p))
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 1

@@ -58,7 +58,6 @@ __all__ = [
     "BoundaryScan",
     "RadiusResult",
     "RADIUS_CAP",
-    "criterion_value",
     "boundary_min",
     "criterion_radius",
     "count_zeros",
@@ -95,7 +94,6 @@ class BoundaryScan:
     """Minimum of a criterion field over the circle |z| = r."""
 
     r: float
-    grid_size: int
     min_value: float
     argmin_theta: float
 
@@ -105,11 +103,12 @@ class RadiusResult:
     """Outcome of a radius solve for the largest good disc.
 
     ``radius`` is the largest radius at which the criterion was verified to
-    hold, at most ``tol`` below the true one provided the scan grid resolves
-    every negative arc of the field; a criterion holding at the cap reports
-    1.0 with ``clamped`` set.  A negative arc narrower than a grid cell, away
-    from the grid argmin, goes unseen and the radius errs large (the strict
-    xfail ``test_starlike_radius_errs_small_when_the_grid_misses_a_narrow_dip``).
+    hold, at most the solve's ``tol`` below the true one provided its grid
+    resolves every negative arc of the field; a criterion holding at the cap
+    reports 1.0 with ``clamped`` set.  A negative arc narrower than a grid
+    cell, away from the grid argmin, goes unseen and the radius errs large
+    (the strict xfail
+    ``test_starlike_radius_errs_small_when_the_grid_misses_a_narrow_dip``).
     ``witness`` is the boundary scan of the probe that certified the radius
     (None when even tiny discs fail, when nothing bounds the guard's zeros
     away from 0, and for local univalence, which probes nothing).
@@ -122,7 +121,6 @@ class RadiusResult:
     radius: float
     witness: BoundaryScan | None
     iterations: int
-    tol: float
     clamped: bool
 
 
@@ -158,19 +156,6 @@ def golden_section_min(
             fd = fn(d)
             best = min(best, (fd, d))
     return best[1], best[0]
-
-
-def criterion_value(s: TruncatedSeries, criterion: Criterion, z: complex) -> float:
-    """Evaluate the criterion field of ``s`` at a single point ``z``.
-
-    The starlikeness field takes its limit value 1.0 at z = 0 (removable for
-    any normalized series).  Quotient criteria raise
-    :class:`PoleProximityError` when the denominator modulus falls below the
-    representable floor.  Local univalence has no field and raises
-    :class:`ValidationError`.
-    """
-    z = complex(_numbers(z, np.complex128, "z", scalar=True))
-    return _point_jet(_field_parts(s, Criterion(criterion)))(z)[0]
 
 
 def _field_parts(
@@ -341,7 +326,7 @@ def boundary_min(
     r = _radius(r)
     grid_size = _integer(grid_size, 16, "grid_size")
     value, theta = _field_scan(_field_parts(s, criterion), grid_size)(r)
-    return BoundaryScan(r=r, grid_size=grid_size, min_value=value, argmin_theta=theta)
+    return BoundaryScan(r=r, min_value=value, argmin_theta=theta)
 
 
 def count_zeros(s: TruncatedSeries, r: float) -> int:
@@ -416,7 +401,7 @@ def criterion_radius(
     if criterion is Criterion.LOCAL_UNIVALENCE:
         rho = _guard_bound(s.coeffs[1:] * np.arange(1, s.coeffs.size))
         clamped = rho > RADIUS_CAP
-        return RadiusResult(1.0 if clamped else rho, None, 0, tol, clamped)
+        return RadiusResult(1.0 if clamped else rho, None, 0, clamped)
     parts = _field_parts(s, criterion)
     guard = parts[1]
     rho = math.inf if guard is None else _graeffe_bound(guard)
@@ -432,10 +417,10 @@ def criterion_radius(
         value, theta = scan(RADIUS_CAP)
         probes += 1
         if value > 0.0:
-            cap = BoundaryScan(RADIUS_CAP, grid_size, value, theta)
-            return RadiusResult(1.0, cap, probes, tol, clamped=True)
-    witness = None if found is None else BoundaryScan(r, grid_size, *found)
-    return RadiusResult(r, witness, probes, tol, clamped=False)
+            cap = BoundaryScan(RADIUS_CAP, value, theta)
+            return RadiusResult(1.0, cap, probes, clamped=True)
+    witness = None if found is None else BoundaryScan(r, *found)
+    return RadiusResult(r, witness, probes, clamped=False)
 
 
 def _graeffe_bound(coeffs: np.ndarray) -> float:

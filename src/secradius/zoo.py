@@ -16,8 +16,8 @@ coefficient from the recurrence obtained by matching powers of z:
 with a_{m+1} = c_m / (m + 1).
 
 Landmark members used throughout: the Koebe function z/(1-z)^2, the
-half-plane map z/(1-z), the extremal f0(z) = (z - z^2/2)/(1-z)^2 with
-coefficients (n+1)/2, and f0' = 1/(1-z)^3.
+half-plane map z/(1-z), and the extremal f0(z) = (z - z^2/2)/(1-z)^2 with
+coefficients (n+1)/2, whose derivative is 1/(1-z)^3.
 """
 
 from __future__ import annotations
@@ -35,13 +35,11 @@ __all__ = [
     "koebe",
     "half_plane",
     "f0",
-    "cube_kernel",
     "p_coeffs",
     "synthesize_F",
     "rotation",
     "sample_specs",
     "spec_from_seed",
-    "roots_of_unity_spec",
 ]
 
 # Recorded in reports so a run can be replayed with the same bit stream.
@@ -83,10 +81,6 @@ class HerglotzSpec:
         if self.seed is not None:
             object.__setattr__(self, "seed", _integer(self.seed, 0, "seed"))
 
-    @property
-    def atom_count(self) -> int:
-        return len(self.weights)
-
 
 def koebe(order: int) -> TruncatedSeries:
     """z/(1-z)^2: coefficients a_n = n."""
@@ -108,13 +102,6 @@ def f0(order: int) -> TruncatedSeries:
     c = (np.arange(n + 1) + 1.0) / 2.0
     c[0] = 0.0
     return TruncatedSeries(c)
-
-
-def cube_kernel(order: int) -> TruncatedSeries:
-    """1/(1-z)^3 = f0': coefficient of z^m is (m+1)(m+2)/2."""
-    n = _integer(order, 1, "order")
-    m = np.arange(n + 1, dtype=np.float64)
-    return TruncatedSeries((m + 1.0) * (m + 2.0) / 2.0)
 
 
 def p_coeffs(spec: HerglotzSpec, order: int) -> np.ndarray:
@@ -155,19 +142,6 @@ def rotation(f: TruncatedSeries, mu: complex) -> TruncatedSeries:
         raise ValidationError(f"rotation factor must be unimodular, got |mu|={abs(mu)!r}")
     factors = np.conj(mu) * mu ** np.arange(f.order + 1)
     return TruncatedSeries(factors * f.coeffs)
-
-
-def roots_of_unity_spec(k: int) -> HerglotzSpec:
-    """Equal weights on the k-th roots of unity.
-
-    Its p has p_j = 0 for 1 <= j < k, so for synthesis orders below k it
-    stands in for the constant function p = 1 (whose F-member is the
-    identity).  Two atoms at +-1 do *not* have this property beyond order 1:
-    their p is (1 + z^2)/(1 - z^2).
-    """
-    k = _integer(k, 1, "k")
-    x = np.exp(2j * np.pi * np.arange(k) / k)
-    return HerglotzSpec(np.full(k, 1.0 / k), x)
 
 
 def spec_from_seed(seed: int, atom_count: int) -> HerglotzSpec:

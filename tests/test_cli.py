@@ -393,10 +393,12 @@ def test_plot_file_names_embed_radius(tmp_path, capsys):
 
 
 def test_plot_usage_errors(tmp_path):
-    for bad_r in ("1.5", "0.0", "abc", "0.5,,0.6"):
+    # each radius names one output file, so a repeated one is refused too
+    for bad_r in ("1.5", "0.0", "abc", "0.5,,0.6", "0.5,0.5", "0.5,0.75,0.50"):
         with pytest.raises(SystemExit) as err:
             main(["plot", "--r", bad_r, "--out", str(tmp_path)])
         assert err.value.code == 2
+    assert not any(tmp_path.iterdir())  # nothing is written
     # the figure curves have a fixed point count, so there is no --samples
     with pytest.raises(SystemExit) as err:
         main(["plot", "--samples", "64", "--out", str(tmp_path)])
@@ -502,6 +504,23 @@ def test_scan_usage_errors():
         with pytest.raises(SystemExit) as err:
             main(["scan", "--target", "classical", "--sections", "5..5", *flag])
         assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--target", "classical", "--grid", "64"],
+        ["radius", "--function", "f0", "--section", "2", "--criterion", "convex",
+         "--spec-file", "x"],
+    ],
+)
+def test_handler_usage_errors_print_the_subcommand_usage(argv, capsys):
+    """A usage error found after parsing is reported by the subcommand's own
+    parser, with its usage line."""
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert capsys.readouterr().err.startswith(f"usage: secradius {argv[0]} ")
 
 
 # ---------------------------------------------------------------------------

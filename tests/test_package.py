@@ -34,7 +34,7 @@ def test_exceptions_surface_is_one_input_error_and_the_numerical_failures():
 
 
 _S = zoo.f0(4)
-_SPEC = zoo.roots_of_unity_spec(2)
+_SPEC = zoo.HerglotzSpec([0.5, 0.5], [1, -1])
 
 #: Every public function that takes an order, count, seed, grid or radius:
 #: (function, keyword arguments that it accepts, integer names, radius names).
@@ -47,10 +47,8 @@ _ARGUMENT_TABLE = [
     (zoo.koebe, {"order": 3}, ["order"], []),
     (zoo.half_plane, {"order": 3}, ["order"], []),
     (zoo.f0, {"order": 3}, ["order"], []),
-    (zoo.cube_kernel, {"order": 3}, ["order"], []),
     (zoo.synthesize_F, {"spec": _SPEC, "order": 5}, ["order"], []),
     (zoo.p_coeffs, {"spec": _SPEC, "order": 3}, ["order"], []),
-    (zoo.roots_of_unity_spec, {"k": 3}, ["k"], []),
     (zoo.spec_from_seed, {"seed": 3, "atom_count": 2}, ["seed", "atom_count"], []),
     (
         zoo.sample_specs,
@@ -97,7 +95,6 @@ _ARGUMENT_TABLE = [
 #: a radius: (function, keyword arguments that it accepts, the number's name).
 _SCALAR_TABLE = [
     (radius.criterion_radius, {"s": _S, "criterion": "re-deriv", "tol": 1e-9}, "tol"),
-    (radius.criterion_value, {"s": _S, "criterion": "re-deriv", "z": 0.1}, "z"),
     (zoo.rotation, {"f": _S, "mu": 1j}, "mu"),
 ]
 
@@ -128,7 +125,7 @@ def _argument_cases():
 
 
 def test_argument_table_covers_every_checked_function():
-    assert len(_ARGUMENT_TABLE) == 22
+    assert len(_ARGUMENT_TABLE) == 20
     for fn, kwargs, *_names in _ARGUMENT_TABLE + _SCALAR_TABLE:
         fn(**kwargs)  # the unaltered arguments are accepted
 
@@ -137,7 +134,7 @@ def test_argument_table_covers_every_checked_function():
 def test_every_order_and_radius_argument_fails_one_way(fn, kwargs, message):
     """An order, count, seed, grid or section index must be an integer (not a
     float or a bool), a radius a real number in range (an integer beyond
-    float range included), and a tolerance, point or rotation factor one
+    float range included), and a tolerance or rotation factor one
     number, not a sequence; anything else is a ValidationError that says
     so, from every function alike."""
     with pytest.raises(exceptions.ValidationError, match=message):

@@ -21,7 +21,6 @@ from secradius.radius import (
     boundary_min,
     count_zeros,
     criterion_radius,
-    criterion_value,
     golden_section_min,
 )
 from secradius.series import TruncatedSeries, section
@@ -40,6 +39,11 @@ S2 = f0(2)  # z + 3/2 z^2, derivative 1 + 3z
 S3 = f0(3)
 #: Criteria with a boundary field; local univalence is its guard bound alone.
 FIELD_CRITERIA = [c for c in Criterion if c is not Criterion.LOCAL_UNIVALENCE]
+
+
+def _value(s, criterion, z):
+    """The criterion field of ``s`` at the point ``z``."""
+    return _point_jet(_field_parts(s, Criterion(criterion)))(complex(z))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -79,47 +83,47 @@ def test_golden_section_value_never_above_probes():
 
 
 def test_re_deriv_values():
-    assert criterion_value(Z, Criterion.RE_DERIV, 0.9j) == 1.0
-    assert abs(criterion_value(S2, Criterion.RE_DERIV, -1.0 / 3.0)) < 1e-15
-    assert criterion_value(S2, Criterion.RE_DERIV, 0.0) == 1.0
+    assert _value(Z, Criterion.RE_DERIV, 0.9j) == 1.0
+    assert abs(_value(S2, Criterion.RE_DERIV, -1.0 / 3.0)) < 1e-15
+    assert _value(S2, Criterion.RE_DERIV, 0.0) == 1.0
 
 
 def test_convexity_value_at_quotient_zero():
     # 1 + z s''/s' = (1 + 6z)/(1 + 3z) for s = z + 3/2 z^2
-    assert abs(criterion_value(S2, Criterion.CONVEXITY, -1.0 / 6.0)) < 1e-14
+    assert abs(_value(S2, Criterion.CONVEXITY, -1.0 / 6.0)) < 1e-14
 
 
 def test_starlikeness_value_at_origin_is_limit():
-    assert criterion_value(S2, Criterion.STARLIKENESS, 0.0) == 1.0
+    assert _value(S2, Criterion.STARLIKENESS, 0.0) == 1.0
 
 
 def test_local_univalence_has_no_field():
     """Local univalence is decided by the guard bound of s', so the scans
     that evaluate a field refuse it."""
     with pytest.raises(ValidationError, match="no boundary field"):
-        criterion_value(S2, Criterion.LOCAL_UNIVALENCE, 0.2j)
+        _value(S2, Criterion.LOCAL_UNIVALENCE, 0.2j)
     with pytest.raises(ValidationError, match="no boundary field"):
-        criterion_value(S2, "local-univalence", 0.0)
+        _value(S2, "local-univalence", 0.0)
     with pytest.raises(ValidationError, match="no boundary field"):
         boundary_min(S2, Criterion.LOCAL_UNIVALENCE, 0.2)
 
 
 def test_criterion_accepts_plain_strings():
-    assert criterion_value(S2, "re-deriv", 0.0) == 1.0
+    assert boundary_min(S2, "re-deriv", 0.3) == boundary_min(S2, Criterion.RE_DERIV, 0.3)
     assert Criterion("starlike") is Criterion.STARLIKENESS
 
 
 def test_starlikeness_pole_detection():
     s = TruncatedSeries([0, 1, -2])  # z - 2z^2 vanishes at z = 1/2
     with pytest.raises(PoleProximityError) as err:
-        criterion_value(s, Criterion.STARLIKENESS, 0.5)
+        _value(s, Criterion.STARLIKENESS, 0.5)
     assert err.value.z == 0.5
 
 
 def test_convexity_pole_detection():
     s = TruncatedSeries([0, 1, -2])  # s' = 1 - 4z vanishes at z = 1/4
     with pytest.raises(PoleProximityError):
-        criterion_value(s, Criterion.CONVEXITY, 0.25)
+        _value(s, Criterion.CONVEXITY, 0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +135,6 @@ def test_boundary_min_of_identity_is_one():
     scan = boundary_min(Z, Criterion.RE_DERIV, 0.9)
     assert scan.min_value == 1.0
     assert scan.r == 0.9
-    assert scan.grid_size == 2048
 
 
 def test_boundary_min_s2_at_one_third():
@@ -216,14 +219,14 @@ def test_grid_field_matches_point_values(criterion):
         vals = _field_scan(_field_parts(s, criterion), grid).field(r)
         expected = np.array(
             [
-                criterion_value(s, criterion, cmath.rect(r, 2.0 * math.pi * k / grid))
+                _value(s, criterion, cmath.rect(r, 2.0 * math.pi * k / grid))
                 for k in range(grid)
             ]
         )
         scale = max(1.0, float(np.max(np.abs(expected))))
         assert np.max(np.abs(vals - expected)) <= 1e-12 * scale
         scan = boundary_min(s, criterion, r, grid)
-        at_witness = criterion_value(s, criterion, cmath.rect(r, scan.argmin_theta))
+        at_witness = _value(s, criterion, cmath.rect(r, scan.argmin_theta))
         assert abs(at_witness - scan.min_value) <= 1e-12 * scale
 
 
@@ -355,7 +358,7 @@ def test_boundary_min_no_worse_than_golden_refinement():
                     k = int(np.argmin(vals))
                     step = 2.0 * math.pi / grid
                     _x, golden = golden_section_min(
-                        lambda t: criterion_value(s, criterion, cmath.rect(r, t)),
+                        lambda t: _value(s, criterion, cmath.rect(r, t)),
                         k * step - step,
                         k * step + step,
                     )
@@ -527,12 +530,12 @@ def test_count_zeros_high_degree_koebe():
 
 
 def test_radius_s2_re_deriv():
+    tol = 1e-9  # the default
     res = criterion_radius(S2, Criterion.RE_DERIV)
     assert abs(res.radius - 1.0 / 3.0) <= 1e-6
     assert not res.clamped
-    assert res.tol == 1e-9
     # bisection over [0, cap] took ceil(log2(cap / tol)) + 1 probes
-    assert 1 <= res.iterations <= math.ceil(math.log2(RADIUS_CAP / res.tol)) + 3
+    assert 1 <= res.iterations <= math.ceil(math.log2(RADIUS_CAP / tol)) + 3
     assert res.witness is not None and res.witness.r == res.radius
     assert res.witness.min_value > 0.0
 
@@ -551,7 +554,7 @@ def test_radius_s2_starlike_and_univalence():
     assert abs(star.radius - 1.0 / 3.0) <= 1e-6
     # the radius is the certified guard bound of s' = 1 + 3z, which sits
     # within rounding below its zero at -1/3
-    assert 1.0 / 3.0 - loc.tol <= loc.radius < 1.0 / 3.0
+    assert 1.0 / 3.0 - 1e-9 <= loc.radius < 1.0 / 3.0
 
 
 def test_radius_s3_re_deriv_closed_form():
@@ -731,12 +734,13 @@ def test_radius_guard_bound_path_survives_misplaced_rho(monkeypatch, count_zeros
     the root-free bound, still lands on 1/6, and local univalence, which
     only the discs bind, within tol below 1/3."""
     monkeypatch.setattr(np, "roots", lambda c: np.array([-0.9 + 0j]))
+    tol = 1e-9  # the default
     res = criterion_radius(S2, Criterion.CONVEXITY)
-    assert 1.0 / 6.0 - res.tol <= res.radius <= 1.0 / 6.0
+    assert 1.0 / 6.0 - tol <= res.radius <= 1.0 / 6.0
     assert res.witness is not None and res.witness.r == res.radius
     assert res.witness.min_value > 0.0
     loc = criterion_radius(S2, Criterion.LOCAL_UNIVALENCE)
-    assert 1.0 / 3.0 - loc.tol <= loc.radius < 1.0 / 3.0
+    assert 1.0 / 3.0 - tol <= loc.radius < 1.0 / 3.0
     assert count_zeros_radii == []
 
 
@@ -767,6 +771,7 @@ def test_radius_falls_back_to_the_discs_when_the_search_reaches_the_cheap_bound(
     second search finds each radius within tol of the closed form and of
     the radius found when the discs alone bracket the search (the values
     listed, 3.2e-11 and 2.5e-11 below the closed forms)."""
+    tol = 1e-9  # the default
     roots = []
     original = np.roots
 
@@ -787,8 +792,8 @@ def test_radius_falls_back_to_the_discs_when_the_search_reaches_the_cheap_bound(
         roots.clear()
         res = criterion_radius(s, criterion)
         assert len(roots) == 1
-        assert expected - res.tol <= res.radius <= expected + 1e-15
-        assert abs(res.radius - discs_only) <= res.tol
+        assert expected - tol <= res.radius <= expected + 1e-15
+        assert abs(res.radius - discs_only) <= tol
         assert res.witness is not None and res.witness.min_value > 0.0
 
 
@@ -929,10 +934,11 @@ if HAS_HYPOTHESIS:
 def test_radius_result_err_is_small_side():
     """Certificate: the criterion verifiably holds at the reported radius
     and verifiably fails at most tol above it."""
+    tol = 1e-9
     for s in (S2, S3):
-        res = criterion_radius(s, Criterion.RE_DERIV, tol=1e-9)
+        res = criterion_radius(s, Criterion.RE_DERIV, tol=tol)
         at = boundary_min(s, Criterion.RE_DERIV, res.radius)
-        above = boundary_min(s, Criterion.RE_DERIV, res.radius + res.tol)
+        above = boundary_min(s, Criterion.RE_DERIV, res.radius + tol)
         assert at.min_value > 0.0
         assert above.min_value <= 1e-12
 
@@ -976,7 +982,7 @@ def test_unknown_criterion_is_a_validation_error_naming_the_values():
     for call in (
         lambda: boundary_min(S2, "bogus", 0.3),
         lambda: criterion_radius(S2, "bogus"),
-        lambda: criterion_value(S2, "bogus", 0.1),
+        lambda: Criterion("bogus"),
     ):
         with pytest.raises(ValidationError, match="re-deriv, convex, starlike, local-univalence"):
             call()

@@ -11,12 +11,10 @@ from secradius.series import section
 from secradius.zoo import (
     GENERATOR_NAME,
     HerglotzSpec,
-    cube_kernel,
     f0,
     half_plane,
     koebe,
     p_coeffs,
-    roots_of_unity_spec,
     rotation,
     sample_specs,
     spec_from_seed,
@@ -66,20 +64,26 @@ def test_f0_evaluates_to_closed_form():
     assert abs(polyval(1.0 / 3.0, f0(200).coeffs) - 0.625) < 1e-12
 
 
+def _cube_kernel(order):
+    """Coefficients of 1/(1-z)^3 through z^order: (m+1)(m+2)/2."""
+    m = np.arange(order + 1, dtype=np.float64)
+    return (m + 1.0) * (m + 2.0) / 2.0
+
+
 def test_cube_kernel_is_f0_derivative():
-    np.testing.assert_allclose(cube_kernel(2).coeffs, [1, 3, 6])
+    np.testing.assert_allclose(_cube_kernel(2), [1, 3, 6])
     np.testing.assert_allclose(
-        cube_kernel(9).coeffs, np.arange(1, 11) * f0(10).coeffs[1:], atol=1e-13
+        _cube_kernel(9), np.arange(1, 11) * f0(10).coeffs[1:], atol=1e-13
     )
 
 
 def test_cube_kernel_value_at_minus_third():
     """1/(1+1/3)^3 = 27/64, the constant behind the main margin."""
-    assert abs(polyval(-1.0 / 3.0, cube_kernel(200).coeffs) - 27.0 / 64.0) < 1e-12
+    assert abs(polyval(-1.0 / 3.0, _cube_kernel(200)) - 27.0 / 64.0) < 1e-12
 
 
 def test_order_validation():
-    for fn in (koebe, half_plane, f0, cube_kernel):
+    for fn in (koebe, half_plane, f0):
         with pytest.raises(ValidationError):
             fn(0)
 
@@ -126,7 +130,6 @@ def test_spec_rejects_non_finite_and_non_numeric_input(weights, points):
 
 def test_spec_constructor_and_properties():
     spec = HerglotzSpec([0.25, 0.75], [1j, -1j], seed=np.int64(5))
-    assert spec.atom_count == 2
     assert spec.seed == 5 and type(spec.seed) is int
     assert not spec.weights.flags.writeable
     assert not spec.points.flags.writeable
@@ -152,13 +155,14 @@ def test_p_coeffs_bounded_by_two():
         assert p[0] == 1.0
 
 
+def _roots_of_unity_spec(k):
+    """Equal weights on the k-th roots of unity: p_j = 0 for 1 <= j < k."""
+    return HerglotzSpec(np.full(k, 1.0 / k), np.exp(2j * np.pi * np.arange(k) / k))
+
+
 def test_roots_of_unity_spec_kills_low_coefficients():
-    spec = roots_of_unity_spec(7)
-    np.testing.assert_allclose(spec.weights, np.full(7, 1.0 / 7.0))
-    p = p_coeffs(spec, 6)
+    p = p_coeffs(_roots_of_unity_spec(7), 6)
     np.testing.assert_allclose(p[1:], np.zeros(6), atol=1e-14)
-    with pytest.raises(ValidationError):
-        roots_of_unity_spec(0)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +185,7 @@ def test_synthesize_atom_at_minus_one_is_rotated_f0():
 
 def test_synthesize_high_root_count_gives_identity():
     """p = 1 through the truncation order synthesizes the identity map."""
-    f = synthesize_F(roots_of_unity_spec(40), order=16)
+    f = synthesize_F(_roots_of_unity_spec(40), order=16)
     expected = np.zeros(17)
     expected[1] = 1.0
     np.testing.assert_allclose(f.coeffs, expected, atol=1e-13)
