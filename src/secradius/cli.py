@@ -47,8 +47,8 @@ __all__ = ["main", "build_parser"]
 _SECTIONS_RE = re.compile(r"^(\d+)\.\.(\d+)$")
 _SVG_SIZE = 800  # viewport width and height in pixels
 _SVG_MARGIN_FRAC = 0.05  # blank margin on each side, as a share of the viewport
-# --function choices; spec-file has no builder, its series comes from --spec-file
-_FUNCTIONS = {"f0": f0, "koebe": koebe, "half-plane": half_plane, "spec-file": None}
+# radius --function builders; --spec-file is the one other source of a series
+_FUNCTIONS = {"f0": f0, "koebe": koebe, "half-plane": half_plane}
 
 
 def _at_least(kind, least):
@@ -161,16 +161,12 @@ def _load_spec_file(path: str, index: int) -> HerglotzSpec:
 
 
 def _section_series(args, parser: argparse.ArgumentParser) -> TruncatedSeries:
-    n = args.section
-    build = _FUNCTIONS[args.function]
-    if build is not None:
-        if args.spec_file is not None or args.index is not None:
-            parser.error("--spec-file and --index need --function spec-file")
-        return build(n)
     if args.spec_file is None:
-        parser.error("--function spec-file requires --spec-file")
+        if args.index is not None:
+            parser.error("--index needs --spec-file")
+        return _FUNCTIONS[args.function](args.section)
     spec = _load_spec_file(args.spec_file, args.index or 0)
-    return synthesize_F(spec, order=n)
+    return synthesize_F(spec, order=args.section)
 
 
 def _cmd_verify(args) -> int:
@@ -306,12 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("radius", help="radius of one criterion for one section")
-    p.add_argument(
-        "--function",
-        required=True,
-        choices=list(_FUNCTIONS),
-        help="which function to truncate",
-    )
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--function", choices=list(_FUNCTIONS), help="which function to truncate")
+    source.add_argument("--spec-file", help="JSON spec file whose entry to synthesize")
     p.add_argument("--section", type=_at_least(int, 1), required=True, help="section order n")
     p.add_argument(
         "--criterion",
@@ -319,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[c.value for c in Criterion],
         help="geometric property to measure",
     )
-    p.add_argument("--spec-file", help="JSON spec file (for --function spec-file)")
     p.add_argument("--index", type=_at_least(int, 0), help="spec index in the file (default 0)")
     p.add_argument("--tol", type=_at_least(float, 1e-12), help="radius tolerance")
     p.add_argument(

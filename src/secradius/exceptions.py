@@ -1,10 +1,10 @@
 """Exception types: ValidationError (a ValueError) for every rejected argument,
-and three ArithmeticError types for numerical failures."""
+and two ArithmeticError types for numerical failures: a zero on a circle,
+and two computations that disagree."""
 
 __all__ = [
     "SecradiusError",
     "ValidationError",
-    "PoleProximityError",
     "ZeroOnCircleError",
     "CrossCheckError",
 ]
@@ -21,19 +21,11 @@ class ValidationError(SecradiusError, ValueError):
     invariant, or a malformed spec file."""
 
 
-class PoleProximityError(SecradiusError, ArithmeticError):
-    """A quotient criterion was evaluated too close to a zero of its denominator.
-
-    Carries the offending point in ``z``.
-    """
-
-    def __init__(self, z, message):
-        super().__init__(f"{message} (z = {z!r})")
-        self.z = z
-
-
 class ZeroOnCircleError(SecradiusError, ArithmeticError):
-    """A zero of the function cannot be placed on either side of a circle."""
+    """A zero of a polynomial lies on the circle |z| = r to working precision:
+    a criterion's denominator vanishes at a scanned point (the message names
+    it), or a root disc of :func:`~secradius.radius.count_zeros` meets the
+    circle, so the zero cannot be placed on either side."""
 
 
 class CrossCheckError(SecradiusError, ArithmeticError):

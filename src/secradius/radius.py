@@ -36,7 +36,9 @@ squarings and Cauchy's bound (:func:`_graeffe_bound`); only a search that
 reaches it finds the roots, and then rho is the larger of it and the least
 modulus on Gerschgorin discs around the ``np.roots`` approximations
 (:func:`_root_discs`).  :func:`count_zeros` counts the zeros inside a
-circle on those discs, exactly unless a disc meets the circle.
+circle on those discs, exactly unless a disc meets the circle.  Both that
+and a field denominator vanishing at a scanned point raise
+:class:`ZeroOnCircleError`: a zero on the circle to working precision.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exceptions import PoleProximityError, ValidationError, ZeroOnCircleError
+from .exceptions import ValidationError, ZeroOnCircleError
 from .series import TruncatedSeries, _integer, _numbers, _radius, is_normalized
 
 __all__ = [
@@ -105,7 +107,8 @@ class RadiusResult:
     ``radius`` is the largest radius at which the criterion was verified to
     hold, at most the solve's ``tol`` below the true one provided its grid
     resolves every negative arc of the field; a criterion holding at the cap
-    reports 1.0 with ``clamped`` set.  A negative arc narrower than a grid
+    reports 1.0, and ``clamped`` is true exactly then (every other radius is
+    at most ``RADIUS_CAP``).  A negative arc narrower than a grid
     cell, away from the grid argmin, goes unseen and the radius errs large
     (the strict xfail
     ``test_starlike_radius_errs_small_when_the_grid_misses_a_narrow_dip``).
@@ -121,7 +124,10 @@ class RadiusResult:
     radius: float
     witness: BoundaryScan | None
     iterations: int
-    clamped: bool
+
+    @property
+    def clamped(self) -> bool:
+        return self.radius == 1.0
 
 
 def golden_section_min(
@@ -227,7 +233,7 @@ def _point_jet(parts: tuple) -> Callable[[complex], tuple[float, float, float]]:
             d1 = d1 * z + d
             d = d * z + b
         if abs(d) < _POLE_TOL:
-            raise PoleProximityError(z, "field denominator vanishes at the point")
+            raise ZeroOnCircleError(f"field denominator vanishes at the point (z = {z!r})")
         q = n / d
         q1 = (n1 - q * d1) / d
         q2 = (2.0 * n2 - 2.0 * q1 * d1 - q * (2.0 * d2)) / d
@@ -277,7 +283,7 @@ def _field_scan(parts: tuple, grid: int) -> Callable[[float], tuple[float, float
         bad = int(np.abs(den).argmin())
         if abs(den[bad]) < _POLE_TOL:
             z = cmath.rect(r, bad * step)
-            raise PoleProximityError(z, "field denominator vanishes on the scan circle")
+            raise ZeroOnCircleError(f"field denominator vanishes on the scan circle (z = {z!r})")
         return (num / den).real
 
     def scan(r: float) -> tuple[float, float]:
@@ -389,7 +395,7 @@ def criterion_radius(
     resolves every negative arc of the field on the probed circles: a
     narrower arc away from the grid argmin is missed, and the radius then
     errs large (see :class:`RadiusResult`).  A criterion surviving at the
-    cap 1 - 1e-6 reports radius 1.0 with ``clamped`` set.
+    cap 1 - 1e-6 reports radius 1.0, which reads as ``clamped``.
     """
     criterion = Criterion(criterion)
     if not is_normalized(s):
@@ -400,8 +406,7 @@ def criterion_radius(
     grid_size = _integer(grid_size, 16, "grid_size")
     if criterion is Criterion.LOCAL_UNIVALENCE:
         rho = _guard_bound(s.coeffs[1:] * np.arange(1, s.coeffs.size))
-        clamped = rho > RADIUS_CAP
-        return RadiusResult(1.0 if clamped else rho, None, 0, clamped)
+        return RadiusResult(1.0 if rho > RADIUS_CAP else rho, None, 0)
     parts = _field_parts(s, criterion)
     guard = parts[1]
     rho = math.inf if guard is None else _graeffe_bound(guard)
@@ -418,9 +423,9 @@ def criterion_radius(
         probes += 1
         if value > 0.0:
             cap = BoundaryScan(RADIUS_CAP, value, theta)
-            return RadiusResult(1.0, cap, probes, clamped=True)
+            return RadiusResult(1.0, cap, probes)
     witness = None if found is None else BoundaryScan(r, *found)
-    return RadiusResult(r, witness, probes, clamped=False)
+    return RadiusResult(r, witness, probes)
 
 
 def _graeffe_bound(coeffs: np.ndarray) -> float:

@@ -230,16 +230,15 @@ def min_re_cube_kernel() -> VerificationItem:
     )
 
 
-def n4_margin() -> VerificationItem:
-    """27/64 + k_tail(4) = 145/1728, the strict positivity margin at n = 4."""
-    base = min_re_cube_kernel()
-    computed = base.computed + k_tail(4)
+def n4_margin(cube: VerificationItem) -> VerificationItem:
+    """27/64 + k_tail(4) = 145/1728, the strict positivity margin at n = 4,
+    from the :func:`min_re_cube_kernel` item ``cube``."""
     return VerificationItem(
         "n4_margin",
-        computed,
+        cube.computed + k_tail(4),
         expected=145.0 / 1728.0,
         tolerance=1e-9,
-        witness=base.witness,
+        witness=cube.witness,
     )
 
 
@@ -462,7 +461,8 @@ def full_suite(tol: float = 1e-9, **suite) -> VerificationReport:
     """
     sharpness = sharpness_witnesses(tol)  # first, so a bad tol fails before any work
     t1 = theorem1_suite(**suite)
-    items = [min_g(), min_T(), min_re_cube_kernel(), n4_margin(), *sharpness, *t1.items]
+    cube = min_re_cube_kernel()
+    items = [min_g(), min_T(), cube, n4_margin(cube), *sharpness, *t1.items]
     parameters = dict(t1.parameters)
     parameters["tol"] = tol
     return VerificationReport(tuple(items), t1.seed, parameters, GENERATOR_NAME)

@@ -27,6 +27,7 @@ from secradius.verify import (
     cube_min_by_cubic,
     min_T,
     min_g,
+    min_re_cube_kernel,
     n4_margin,
     theorem1_suite,
 )
@@ -124,7 +125,7 @@ def test_criterion_04_tail_constant(capfd):
 
 
 def test_criterion_05_n4_margin(capfd):
-    item = n4_margin()
+    item = n4_margin(min_re_cube_kernel())
     ok = item.passed and abs(item.computed - N4_MARGIN) <= 1e-9
     _announce(capfd, 5, ok, f"margin at n = 4: {item.computed!r} (expected 145/1728)")
 

@@ -175,6 +175,7 @@ def test_radius_half_plane_clamps(capsys):
 
 
 def test_radius_usage_errors():
+    assert list(cli._FUNCTIONS) == ["f0", "koebe", "half-plane"]
     with pytest.raises(SystemExit) as err:
         main(["radius", "--function", "spec-file", "--section", "3", "--criterion", "starlike"])
     assert err.value.code == 2
@@ -193,18 +194,19 @@ def test_radius_usage_errors():
             main(["radius", "--function", "f0", "--section", "2",
                   "--criterion", "starlike", "--tol", tol])
         assert err.value.code == 2
-    # --spec-file and --index apply only to --function spec-file
-    for extra in (["--spec-file", "/nonexistent.json", "--index", "7"], ["--index", "0"]):
+    # the series comes from exactly one of --function and --spec-file, and
+    # --index reads an entry of a spec file
+    for source in (["--function", "f0", "--spec-file", "/nonexistent.json", "--index", "7"],
+                   ["--function", "f0", "--index", "0"], ["--index", "0"], []):
         with pytest.raises(SystemExit) as err:
-            main(["radius", "--function", "f0", "--section", "2",
-                  "--criterion", "re-deriv", *extra])
+            main(["radius", *source, "--section", "2", "--criterion", "re-deriv"])
         assert err.value.code == 2
 
 
 def test_radius_runtime_errors(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     code = main(
-        ["radius", "--function", "spec-file", "--spec-file", str(missing),
+        ["radius", "--spec-file", str(missing),
          "--section", "3", "--criterion", "starlike"]
     )
     assert code == 1
@@ -213,7 +215,7 @@ def test_radius_runtime_errors(tmp_path, capsys):
     malformed = tmp_path / "bad.json"
     malformed.write_text("{not json")
     code = main(
-        ["radius", "--function", "spec-file", "--spec-file", str(malformed),
+        ["radius", "--spec-file", str(malformed),
          "--section", "3", "--criterion", "starlike"]
     )
     assert code == 1
@@ -223,7 +225,7 @@ def test_radius_runtime_errors(tmp_path, capsys):
     empty.write_text(json.dumps({"specs": [{"weights": [], "points": []}]}))
     capsys.readouterr()
     code = main(
-        ["radius", "--function", "spec-file", "--spec-file", str(empty),
+        ["radius", "--spec-file", str(empty),
          "--section", "3", "--criterion", "starlike"]
     )
     assert code == 1
@@ -266,7 +268,7 @@ def test_radius_runtime_errors(tmp_path, capsys):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(document))
         code = main(
-            ["radius", "--function", "spec-file", "--spec-file", str(path),
+            ["radius", "--spec-file", str(path),
              "--section", "3", "--criterion", "starlike", *extra]
         )
         err = capsys.readouterr().err
@@ -306,7 +308,7 @@ def test_spec_file_radius_round_trip(tmp_path, capsys):
     capsys.readouterr()
     code, payload = _run_json(
         capsys,
-        ["radius", "--function", "spec-file", "--spec-file", str(specs),
+        ["radius", "--spec-file", str(specs),
          "--index", "1", "--section", "4", "--criterion", "starlike"],
     )
     assert code == 0
@@ -330,7 +332,7 @@ def test_spec_file_radius_synthesizes_at_the_section_order(tmp_path, capsys, mon
         return synthesize_F(spec, order)
 
     monkeypatch.setattr(cli, "synthesize_F", recording)
-    argv = ["radius", "--function", "spec-file", "--spec-file", str(specs), "--index", "1",
+    argv = ["radius", "--spec-file", str(specs), "--index", "1",
             "--criterion", "starlike", "--section"]
     assert main([*argv, "8"]) == 0
     assert orders == [8]
@@ -512,11 +514,14 @@ def test_scan_usage_errors():
         ["scan", "--target", "classical", "--grid", "64"],
         ["radius", "--function", "f0", "--section", "2", "--criterion", "convex",
          "--spec-file", "x"],
+        ["radius", "--function", "spec-file", "--section", "2", "--criterion", "convex"],
+        ["radius", "--function", "f0", "--section", "2", "--criterion", "convex",
+         "--index", "0"],
     ],
 )
 def test_handler_usage_errors_print_the_subcommand_usage(argv, capsys):
-    """A usage error found after parsing is reported by the subcommand's own
-    parser, with its usage line."""
+    """A usage error, whether argparse or a handler finds it, is reported by
+    the subcommand's own parser, with its usage line."""
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2

@@ -26,11 +26,13 @@ def test_exceptions_surface_is_one_input_error_and_the_numerical_failures():
     assert exceptions.__all__ == [
         "SecradiusError",
         "ValidationError",
-        "PoleProximityError",
         "ZeroOnCircleError",
         "CrossCheckError",
     ]
     assert issubclass(exceptions.ValidationError, ValueError)
+    for failure in (exceptions.ZeroOnCircleError, exceptions.CrossCheckError):
+        assert issubclass(failure, exceptions.SecradiusError)
+        assert issubclass(failure, ArithmeticError)
 
 
 _S = zoo.f0(4)

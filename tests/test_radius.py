@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 import secradius.radius as radius_module
-from secradius.exceptions import PoleProximityError, ValidationError, ZeroOnCircleError
+from secradius.exceptions import ValidationError, ZeroOnCircleError
 from secradius.radius import (
     RADIUS_CAP,
     BoundaryScan,
     Criterion,
+    RadiusResult,
     _field_parts,
     _field_scan,
     _graeffe_bound,
@@ -114,15 +115,19 @@ def test_criterion_accepts_plain_strings():
 
 
 def test_starlikeness_pole_detection():
+    """A denominator zero on the circle is a zero on the circle: the point
+    and the grid paths both raise ZeroOnCircleError and name the point."""
     s = TruncatedSeries([0, 1, -2])  # z - 2z^2 vanishes at z = 1/2
-    with pytest.raises(PoleProximityError) as err:
+    with pytest.raises(ZeroOnCircleError, match=r"at the point \(z = \(0\.5\+0j\)\)"):
         _value(s, Criterion.STARLIKENESS, 0.5)
-    assert err.value.z == 0.5
+    # grid angle 0 lands on the zero
+    with pytest.raises(ZeroOnCircleError, match=r"scan circle \(z = \(0\.5\+0j\)\)"):
+        boundary_min(s, Criterion.STARLIKENESS, 0.5, grid_size=16)
 
 
 def test_convexity_pole_detection():
     s = TruncatedSeries([0, 1, -2])  # s' = 1 - 4z vanishes at z = 1/4
-    with pytest.raises(PoleProximityError):
+    with pytest.raises(ZeroOnCircleError, match=r"\(z = \(0\.25\+0j\)\)"):
         _value(s, Criterion.CONVEXITY, 0.25)
 
 
@@ -567,6 +572,10 @@ def test_radius_s3_re_deriv_closed_form():
 
 
 def test_radius_identity_clamps():
+    # clamped is read off the radius: 1.0 is reported only for a clamp
+    assert not RadiusResult(0.5, None, 0).clamped
+    assert not RadiusResult(RADIUS_CAP, None, 0).clamped
+    assert RadiusResult(1.0, None, 0).clamped
     # z padded to order 3 has guard 1 + 0z + 0z^2, a constant once trimmed
     for s in (Z, TruncatedSeries([0, 1, 0, 0])):
         for criterion in Criterion:

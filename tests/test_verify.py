@@ -175,11 +175,18 @@ def test_cube_min_domain():
 
 
 def test_n4_margin_item():
-    item = n4_margin()
+    cube = min_re_cube_kernel()
+    item = n4_margin(cube)
     assert item.name == "n4_margin"
     assert item.expected == 145.0 / 1728.0
     assert abs(item.computed - 145.0 / 1728.0) < 1e-9
     assert item.passed
+    # the margin is read off the given cube-kernel item, which it does not rescan
+    assert item.computed == cube.computed + k_tail(4)
+    assert item.witness == cube.witness
+    other = VerificationItem("cube", 0.5, 27.0 / 64.0, 1e-9, (0.25, 1.0))
+    assert n4_margin(other).computed == 0.5 + k_tail(4)
+    assert n4_margin(other).witness == (0.25, 1.0)
 
 
 def test_margin_grows_with_section_order():
@@ -514,6 +521,22 @@ def test_full_suite_structure():
     assert report.parameters["tol"] == 1e-9
     assert report.parameters["count"] == 4
     assert report.generator_name == GENERATOR_NAME
+
+
+def test_full_suite_scans_the_cube_kernel_once(monkeypatch):
+    """The n = 4 margin reuses the cube-kernel item the suite already built."""
+    calls = []
+    real = verify.cube_min_by_boundary
+
+    def counting():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(verify, "cube_min_by_boundary", counting)
+    items = {item.name: item for item in full_suite(count=1, atom_count=2, n_max=2).items}
+    assert len(calls) == 1
+    cube = items["min_re_cube_kernel_1/3"]
+    assert items["n4_margin"] == n4_margin(cube)
 
 
 def test_full_suite_forwards_only_the_given_suite_keywords(monkeypatch):
