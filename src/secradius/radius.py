@@ -23,8 +23,9 @@ numerator and at most one denominator polynomial from one table, and
 costs one inverse FFT of the stacked coefficient rows for a grid scan, and
 safeguarded Newton steps near the grid argmin, each one Horner pass over
 both polynomials; :func:`boundary_min` and ``verify``'s scans of g and
-Re (1-z)^{-3} are one-probe cases.  A negative arc of the field narrower
-than a grid cell, away from the grid argmin, can go unseen.
+Re (1-z)^{-3} are one-probe cases, and ``verify``'s theorem-1 sweep scans
+every section of a member with one FFT.  A negative arc of the field
+narrower than a grid cell, away from the grid argmin, can go unseen.
 
 :func:`criterion_radius` solves for the radius where the boundary minimum
 changes sign, inside [0, rho): rho is a certified lower bound on the root
@@ -72,7 +73,7 @@ RADIUS_CAP = 1.0 - 1e-6
 _POLE_TOL = 1e-300
 _UNIT_ROUNDOFF = 2.0**-53
 _GOLDEN_XTOL = 1e-12  # bracket width at which golden_section_min stops
-_THETA_TOL = 1e-12  # Newton step at which a _field_scan probe stops
+_THETA_TOL = 1e-12  # Newton step at which _refine stops
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _TWO_PI = 2.0 * math.pi
 
@@ -242,80 +243,89 @@ def _point_jet(parts: tuple) -> Callable[[complex], tuple[float, float, float]]:
     return quotient
 
 
-def _field_scan(parts: tuple, grid: int) -> Callable[[float], tuple[float, float]]:
-    """``scan(r) -> (value, theta)``, the minimum of the field of ``parts`` on |z| = r.
+def _circle_values(rows: np.ndarray, r: float, grid: int) -> np.ndarray:
+    """Each row's polynomial at r e^{2 pi i k / grid}, k < grid: one row-wise inverse FFT of
+    the r-scaled rows (pocketfft transforms each row alone), folded modulo ``grid`` when
+    longer (powers m and m + grid meet the same roots)."""
+    scaled = rows * r ** np.arange(rows.shape[1], dtype=np.float64)
+    if scaled.shape[1] > grid:
+        scaled = np.pad(scaled, ((0, 0), (0, -scaled.shape[1] % grid)))
+        scaled = scaled.reshape(len(rows), -1, grid).sum(axis=1)
+    return np.fft.ifft(scaled, n=grid, norm="forward")
 
-    ``parts`` comes from :func:`_field_parts`; its zero-padded coefficient
-    rows, their exponents and its jet are prepared once.  ``scan.field(r)``
-    is the field at the angles 2 pi k / grid: one row-wise inverse FFT of the
-    r-scaled rows, folded modulo ``grid`` when longer (powers m and m + grid
-    meet the same roots).  Newton steps on :func:`_point_jet` stay inside the
-    two cells next to the grid argmin (the least theta on ties).  They start
-    at the vertex of the parabola through the argmin's value and its two
-    neighbours', which lies within half a cell of the argmin, or at the
-    argmin when that parabola is not convex.  Each step moves the bracket end
-    on the derivative's side, and a step that is
-    not Newton with positive finite second derivative inside the bracket is
-    its midpoint.  A step of at most ``_THETA_TOL`` stops, tested before the
-    bracket (the Newton step at a grid-point minimum can round onto its
-    end).  The least (value, theta) evaluated, the grid point included, is
-    returned with theta in [0, 2*pi), mirrored into [0, pi] when every
-    coefficient is real (the field is then even in theta), so rounding
-    cannot decide which of two equal minima a report names.
-    """
+
+def _field_scan(parts: tuple, grid: int) -> Callable[[float], tuple[float, float]]:
+    """``scan(r) -> (value, theta)``, the minimum of the field of :func:`_field_parts`
+    output on |z| = r: :func:`_refine` of ``scan.field(r)``, the field at the angles
+    2 pi k / grid from :func:`_circle_values`.  Rows, jet and mirror flag are made once."""
     size = max(p.size for p in parts if p is not None)
     pad = [p if p.size == size else np.pad(p, (0, size - p.size)) for p in parts if p is not None]
     rows = np.array(pad, dtype=np.complex128)
-    powers = np.arange(rows.shape[1], dtype=np.float64)
     jet = _point_jet(parts)
     mirror = not np.count_nonzero(rows.imag)
-    step = _TWO_PI / grid
 
     def field(r: float) -> np.ndarray:
-        scaled = rows * r**powers
-        if scaled.shape[1] > grid:
-            scaled = np.pad(scaled, ((0, 0), (0, -scaled.shape[1] % grid)))
-            scaled = scaled.reshape(len(rows), -1, grid).sum(axis=1)
-        values = np.fft.ifft(scaled, n=grid, norm="forward")
+        values = _circle_values(rows, r, grid)
         if len(values) == 1:
             return values[0].real
         num, den = values
         bad = int(np.abs(den).argmin())
         if abs(den[bad]) < _POLE_TOL:
-            z = cmath.rect(r, bad * step)
+            z = cmath.rect(r, bad * (_TWO_PI / grid))
             raise ZeroOnCircleError(f"field denominator vanishes on the scan circle (z = {z!r})")
         return (num / den).real
 
     def scan(r: float) -> tuple[float, float]:
-        vals = field(r)
-        k = int(vals.argmin())
-        theta = k * step
-        lo, hi = theta - step, theta + step
-        best = (float(vals[k]), theta)
-        left, right = float(vals[k - 1]), float(vals[(k + 1) % grid])
-        curve = left - 2.0 * best[0] + right
-        if curve > 0.0:
-            theta += 0.5 * step * (left - right) / curve
-        while True:
-            value, d1, d2 = jet(cmath.rect(r, theta))
-            best = min(best, (value, theta))
-            if d1 > 0.0:
-                hi = theta
-            else:
-                lo = theta
-            dt = -d1 / d2 if 0.0 < d2 < math.inf else math.nan
-            if not (abs(dt) <= _THETA_TOL or lo < theta + dt < hi):
-                dt = 0.5 * (lo + hi) - theta
-            if abs(dt) <= _THETA_TOL:
-                break
-            theta += dt
-        theta = best[1] % _TWO_PI
-        if theta > math.pi and mirror:
-            theta = _TWO_PI - theta
-        return best[0], theta
+        return _refine(jet, field(r), r, mirror)
 
     scan.field = field
     return scan
+
+
+def _refine(jet: Callable, values: np.ndarray, r: float, mirror: bool) -> tuple[float, float]:
+    """(value, theta), the field's minimum on |z| = r from its ``values`` at the
+    angles 2 pi k / len(values) and its :func:`_point_jet` ``jet``.
+
+    Newton steps stay inside the two cells next to the grid argmin (the
+    least theta on ties).  They start at the vertex of the parabola through
+    the argmin's value and its two neighbours', which lies within half a
+    cell of the argmin, or at the argmin when that parabola is not convex.
+    Each step moves the bracket end on the derivative's side, and a step
+    that is not Newton with positive finite second derivative inside the
+    bracket is its midpoint.  A step of at most ``_THETA_TOL`` stops, tested
+    before the bracket (the Newton step at a grid-point minimum can round
+    onto its end).  The least (value, theta) evaluated, the grid point
+    included, is returned with theta in [0, 2*pi), mirrored into [0, pi]
+    when ``mirror`` says every coefficient is real (the field is then even
+    in theta), so rounding cannot decide which of two equal minima a report
+    names.
+    """
+    step = _TWO_PI / values.size
+    k = int(values.argmin())
+    theta = k * step
+    lo, hi = theta - step, theta + step
+    best = (float(values[k]), theta)
+    left, right = float(values[k - 1]), float(values[(k + 1) % values.size])
+    curve = left - 2.0 * best[0] + right
+    if curve > 0.0:
+        theta += 0.5 * step * (left - right) / curve
+    while True:
+        value, d1, d2 = jet(cmath.rect(r, theta))
+        best = min(best, (value, theta))
+        if d1 > 0.0:
+            hi = theta
+        else:
+            lo = theta
+        dt = -d1 / d2 if 0.0 < d2 < math.inf else math.nan
+        if not (abs(dt) <= _THETA_TOL or lo < theta + dt < hi):
+            dt = 0.5 * (lo + hi) - theta
+        if abs(dt) <= _THETA_TOL:
+            break
+        theta += dt
+    theta = best[1] % _TWO_PI
+    if theta > math.pi and mirror:
+        theta = _TWO_PI - theta
+    return best[0], theta
 
 
 def boundary_min(

@@ -11,7 +11,7 @@ import secradius.verify as verify
 from secradius.bounds import k_tail
 from secradius.exceptions import CrossCheckError, ValidationError
 from secradius.radius import Criterion, boundary_min, criterion_radius
-from secradius.series import section
+from secradius.series import TruncatedSeries, section
 from secradius.verify import (
     CONJECTURE2_THRESHOLD,
     THEOREM1_RADIUS,
@@ -35,9 +35,19 @@ from secradius.zoo import (
     HerglotzSpec,
     f0,
     koebe,
+    rotation,
     sample_specs,
+    spec_from_seed,
     synthesize_F,
 )
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    HAS_HYPOTHESIS = True
+except ImportError:  # pragma: no cover - optional dependency
+    HAS_HYPOTHESIS = False
 
 
 # ---------------------------------------------------------------------------
@@ -310,18 +320,26 @@ def _spy(monkeypatch, name):
 
 
 def test_theorem1_suite_matches_brute_force_sweep(monkeypatch):
-    """The suite scans f0 and every sampled member at every order, and
-    reports the first smallest margin of a direct loop over them."""
-    seen = _spy(monkeypatch, "boundary_min")
+    """The suite synthesizes f0 and every sampled member once, at order
+    n_max, and reports the first smallest margin of a direct boundary_min
+    loop over all their sections, bit for bit."""
+    orders = []
+    real = verify.synthesize_F
+
+    def spy(spec, order):
+        orders.append((spec.seed, order))
+        return real(spec, order=order)
+
+    monkeypatch.setattr(verify, "synthesize_F", spy)
     report = theorem1_suite(count=3, atom_count=2, n_max=5, seed=4)
     monkeypatch.undo()
+    assert orders == [(None, 5)] + [(spec.seed, 5) for spec in sample_specs(3, 2, 4)]
 
     def margin(s):
         scan = boundary_min(s, Criterion.RE_DERIV, THEOREM1_RADIUS, verify._GRID)
         return scan.min_value, scan.argmin_theta
 
     rows = _direct_sweep(3, 2, 4, 2, 5, margin)
-    assert seen == [row[4] for row in rows]
     value, label, n, theta, _c = min(rows, key=lambda row: row[0])
     params = report.parameters
     assert report.items[0].computed == value
@@ -371,13 +389,62 @@ def test_sweep_measures_the_exact_f0_sections():
     """The extremal's sections that the sweep measures are zoo.f0's, bit for bit."""
     seen = []
 
-    def measure(s):
-        seen.append(s)
-        return 1.0, 0.0
+    def measure(f):
+        seen.append(f)
+        return [(1.0, 0.0)] * 59
 
     verify._sweep_minimum(1, 1, 0, 2, 60, measure)
-    f0_sections = zip(range(2, 61), seen)  # f0 comes first
-    assert [n for n, s in f0_sections if not np.array_equal(s.coeffs, f0(n).coeffs)] == []
+    member = seen[0]  # f0 comes first
+    sections = [(n, section(member, n)) for n in range(2, 61)]
+    assert [n for n, s in sections if not np.array_equal(s.coeffs, f0(n).coeffs)] == []
+
+
+#: Real through z^6 and complex from z^7 on: its sections s_2..s_6 mirror
+#: theta into [0, pi], and s_7..s_9 do not.
+MIXED = TruncatedSeries([0, 1, 0.5, -0.25, 0.125, 0.1, -0.05, 0.02j, 0.01 - 0.01j, 0.003j])
+
+
+def _assert_section_margins_are_boundary_min(f):
+    """verify._section_margins(f) is boundary_min's (value, theta) at
+    THEOREM1_RADIUS on every section s_2..s_N of f, bit for bit."""
+    direct = []
+    for n in range(2, f.order + 1):
+        scan = boundary_min(section(f, n), "re-deriv", THEOREM1_RADIUS, verify._GRID)
+        direct.append((scan.min_value, scan.argmin_theta))
+    assert verify._section_margins(f) == direct
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        synthesize_F(HerglotzSpec([1.0], [1.0]), order=60),  # the sweep's f0
+        f0(40),
+        koebe(30),
+        rotation(synthesize_F(HerglotzSpec([1.0], [1.0]), order=20), np.exp(0.7j)),
+        MIXED,
+    ],
+    ids=["sweep-f0", "f0", "koebe", "rotated-f0", "real-then-complex"],
+)
+def test_section_margins_are_boundary_min_bit_for_bit(f):
+    _assert_section_margins_are_boundary_min(f)
+
+
+def test_section_margins_mirror_only_real_sections():
+    """Each section takes its own mirror flag: MIXED's real sections report
+    theta in [0, pi], and its complex ones their minima past pi."""
+    thetas = [theta for _value, theta in verify._section_margins(MIXED)]
+    assert all(0.0 <= theta <= math.pi for theta in thetas[:5])
+    assert all(theta > math.pi for theta in thetas[5:])
+
+
+if HAS_HYPOTHESIS:
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(2, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_section_margins_of_sampled_members_are_boundary_min(seed, atom_count, n_max):
+        _assert_section_margins_are_boundary_min(
+            synthesize_F(spec_from_seed(seed, atom_count), order=n_max)
+        )
 
 
 # ---------------------------------------------------------------------------
