@@ -38,6 +38,7 @@ import numpy as np
 from .bounds import k_tail
 from .exceptions import CrossCheckError, ValidationError
 from .radius import (
+    _UNIT_ROUNDOFF,
     Criterion,
     RadiusResult,
     _circle_values,
@@ -288,16 +289,20 @@ def _sweep_minimum(
     The extremal f0 (single Herglotz atom at x = 1) is the worst case of
     every suite here, so it comes first, then the specs labelled by their
     recorded seeds; each member f is synthesized once, to order n_max, and
-    ``measure(f)`` lists the (value, theta) of its sections n_min..n_max.
-    Returns ((value, label, n, theta), f0_n2), where f0_n2 is f0's
-    (value, theta) at n = 2, None when n_min > 2.
+    ``measure(f, best)`` lists the (value, theta) of its sections
+    n_min..n_max, given the running minimum ``best`` (inf for f0).  A
+    section proved to lie above ``best`` may be listed with any value that
+    cannot win, such as (inf, 0.0).  Returns ((value, label, n, theta),
+    f0_n2), where f0_n2 is f0's (value, theta) at n = 2, None when
+    n_min > 2.
     """
     members = [("f0", HerglotzSpec([1.0], [1.0]))]
     members += [(spec.seed, spec) for spec in sample_specs(count, atom_count, seed)]
     best: tuple[float, object, int, float] = (math.inf, None, 0, 0.0)
     f0_n2 = None
     for label, spec in members:
-        for n, (value, theta) in enumerate(measure(synthesize_F(spec, order=n_max)), n_min):
+        f = synthesize_F(spec, order=n_max)
+        for n, (value, theta) in enumerate(measure(f, best[0]), n_min):
             if value < best[0]:
                 best = (value, label, n, theta)
             if label == "f0" and n == 2:
@@ -305,16 +310,78 @@ def _sweep_minimum(
     return best, f0_n2
 
 
-def _section_margins(f: TruncatedSeries) -> list[tuple[float, float]]:
+def _section_margins(f: TruncatedSeries, best: float) -> list[tuple[float, float]]:
     """``boundary_min(section(f, n), "re-deriv", THEOREM1_RADIUS, _GRID)``'s (value, theta),
-    n = 2..f.order, bit for bit: s_n' is a prefix of f', so one FFT gives every grid."""
+    n = 2..f.order, bit for bit, except (inf, 0.0) for a section proved to stay above
+    ``best``.
+
+    s_n' = sum_{k<n} b_k z^k is a prefix of f', so the rows of one triangular
+    matrix hold every section's derivative and one inverse FFT gives their
+    grids; each section is then refined alone (:func:`_refine`, with its own
+    jet and mirror flag).  With r = ``THEOREM1_RADIUS``, a_k = |b_k| r^k and
+    h = 2 pi / ``_GRID``, two lower bounds on Re s_n' over |z| <= r skip
+    work, each lowered by the slack e_n below:
+
+    * the coefficient bound Re b_0 - sum_{1<=k<n} a_k.  It falls with n, as
+      computed too (its terms are non-negative and rounding is monotone), so
+      the sections it puts above ``best`` are a prefix, and the FFT takes
+      only the rows after it;
+    * the cell bound min(row) - c_n, c_n = (h^2/8) sum_{k<n} k^2 a_k.  On the
+      circle, phi(theta) = Re s_n'(r e^{i theta}) has |phi''| <= sum k^2 a_k,
+      so in each grid cell phi lies above the chord of its end values, less
+      c_n (the error of linear interpolation).  A row that it puts above
+      ``best`` is not refined.
+
+    Rounding.  Let u = 2^-53, gamma_m = m u / (1 - m u), G = ``_GRID``,
+    L = log2 G, N = f.order and A_n = sum_{k<n} a_k; pow, hypot, cos and sin
+    are taken to err by at most one ulp, 2u.  The slack is
+    e_n = 16 (L sqrt(G) + 2N) u (A_n + c_n).  It covers the rounding of the
+    bounds and of every value the unskipped path would compute, so a skipped
+    section could not have reported a value below ``best``: (1) a grid value
+    is the FFT of the row scaled by r^k, whose entries err by gamma_3.  A
+    radix-2 FFT with weights within mu <= 2u errs in the 2-norm by at most
+    L eta / (1 - L eta) < 8 L u times the exact transform's 2-norm,
+    eta = mu + gamma_4 (sqrt(2) + mu) (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, section 24.1), and that norm is sqrt(G) times the
+    row's, at most sqrt(G) A_n; so each grid value errs from phi by at most
+    (8 L sqrt(G) + 4) u A_n (a row longer than G first sums N / G entries
+    per column, which the N term covers).  (2) A Newton value is Horner's
+    rule at z = ``cmath.rect(r, theta)``, |z| <= r (1 + gamma_3): moving z
+    onto the circle changes s_n' by at most gamma_{3n} A_n, and complex
+    Horner, whose steps err by gamma_4 (Higham, section 5.1 and Lemma 3.5: a
+    product within sqrt(2) gamma_2, a sum within u), by at most
+    gamma_{4n} (1 + gamma_{3n}) A_n, together gamma_{7n} A_n.  So every
+    reported value, the grid argmin's or a Newton value, is at least min phi
+    less the sum of (1) and (2).  (3) Each a_k (hypot, pow and a product) errs by gamma_5, so the
+    cumulative sums err by gamma_{n+3} A_n and c_n by gamma_{n+8} c_n
+    (Higham, Lemma 3.1 and section 4.2), the two subtractions of each bound
+    by at most u times their operands, and e_n itself by gamma_{n+12} e_n.
+    The cell bound also carries the error (1) of min(row) itself.  (1)
+    twice, (2) and (3) add to less than e_n for every n <= N: the FFT's
+    error twice is below 16 L sqrt(G) u A_n + 8 u A_n, and the rest below
+    (9 N + 6) u (A_n + c_n).
+    """
     r = THEOREM1_RADIUS
     b = _field_parts(f, Criterion.RE_DERIV)[0]
-    values = _circle_values(np.tril(np.broadcast_to(b, (b.size - 1, b.size)), 1), r, _GRID).real
-    return [
-        _refine(_point_jet((b[:n], None)), values[n - 2], r, not np.count_nonzero(b[:n].imag))
-        for n in range(2, b.size + 1)
-    ]
+    k = np.arange(b.size)
+    a = np.abs(b) * r**k
+    tail = np.cumsum(a[1:])  # sum_{1<=k<n} a_k, n = 2..N
+    curve = (_TWO_PI / _GRID) ** 2 / 8.0 * np.cumsum(k * k * a)[1:]  # c_n
+    gamma = 16.0 * (math.log2(_GRID) * math.sqrt(_GRID) + 2.0 * b.size) * _UNIT_ROUNDOFF
+    slack = gamma * (a[0] + tail + curve)  # e_n
+    start = int(np.count_nonzero(b[0].real - tail - slack > best))
+    rows = np.tril(np.broadcast_to(b, (b.size - 1 - start, b.size)), start + 1)
+    values = _circle_values(rows, r, _GRID).real
+    cell = values.min(axis=1) - curve[start:] - slack[start:]
+    margins = [(math.inf, 0.0)] * start
+    for n, row, low in zip(range(start + 2, b.size + 1), values, cell):
+        if low > best:
+            margins.append((math.inf, 0.0))
+        else:
+            margins.append(
+                _refine(_point_jet((b[:n], None)), row, r, not np.count_nonzero(b[:n].imag))
+            )
+    return margins
 
 
 def theorem1_suite(
@@ -324,10 +391,12 @@ def theorem1_suite(
 
     Re s_n' of every section n = 2..n_max of every sampled member is
     minimized over the circle of radius 1/3 - 1e-6 on a ``_GRID``-point scan
-    (one inverse FFT per member, then Newton per section).  The suite
-    asserts the global minimum margin stays above -1e-9 and that the
-    injected extremal attains a near-zero margin at n = 2; the raw minimum
-    is reported as an informational item.
+    (one inverse FFT per member, then Newton per section), except where a
+    certified lower bound puts a section above the running minimum, which it
+    then cannot set (:func:`_section_margins`); f0 comes first and is
+    measured whole.  The suite asserts the global minimum margin stays
+    above -1e-9 and that the injected extremal attains a near-zero margin
+    at n = 2; the raw minimum is reported as an informational item.
     """
     n_max = _integer(n_max, 2, "n_max")
     r = THEOREM1_RADIUS
@@ -390,9 +459,11 @@ def conjecture2_scan(
         res = criterion_radius(s, Criterion.STARLIKENESS, tol, grid)
         return res.radius, res.witness.argmin_theta if res.witness is not None else 0.0
 
-    sections = range(n_min, n_max + 1)
+    def measure(f: TruncatedSeries, _best: float) -> list[tuple[float, float]]:
+        return [starlike(section(f, n)) for n in range(n_min, n_max + 1)]
+
     (best_radius, best_label, best_n, best_theta), f0_n2 = _sweep_minimum(
-        count, atom_count, seed, n_min, n_max, lambda f: [starlike(section(f, n)) for n in sections]
+        count, atom_count, seed, n_min, n_max, measure
     )
     found = best_radius < CONJECTURE2_THRESHOLD
     witness = (best_radius, best_theta)

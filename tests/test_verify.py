@@ -389,7 +389,7 @@ def test_sweep_measures_the_exact_f0_sections():
     """The extremal's sections that the sweep measures are zoo.f0's, bit for bit."""
     seen = []
 
-    def measure(f):
+    def measure(f, best):
         seen.append(f)
         return [(1.0, 0.0)] * 59
 
@@ -405,13 +405,13 @@ MIXED = TruncatedSeries([0, 1, 0.5, -0.25, 0.125, 0.1, -0.05, 0.02j, 0.01 - 0.01
 
 
 def _assert_section_margins_are_boundary_min(f):
-    """verify._section_margins(f) is boundary_min's (value, theta) at
-    THEOREM1_RADIUS on every section s_2..s_N of f, bit for bit."""
+    """verify._section_margins(f, inf), which skips nothing, is boundary_min's
+    (value, theta) at THEOREM1_RADIUS on every section s_2..s_N of f, bit for bit."""
     direct = []
     for n in range(2, f.order + 1):
         scan = boundary_min(section(f, n), "re-deriv", THEOREM1_RADIUS, verify._GRID)
         direct.append((scan.min_value, scan.argmin_theta))
-    assert verify._section_margins(f) == direct
+    assert verify._section_margins(f, math.inf) == direct
 
 
 @pytest.mark.parametrize(
@@ -432,9 +432,32 @@ def test_section_margins_are_boundary_min_bit_for_bit(f):
 def test_section_margins_mirror_only_real_sections():
     """Each section takes its own mirror flag: MIXED's real sections report
     theta in [0, pi], and its complex ones their minima past pi."""
-    thetas = [theta for _value, theta in verify._section_margins(MIXED)]
+    thetas = [theta for _value, theta in verify._section_margins(MIXED, math.inf)]
     assert all(0.0 <= theta <= math.pi for theta in thetas[:5])
     assert all(theta > math.pi for theta in thetas[5:])
+
+
+def _assert_skip_bounds_are_sound(f):
+    """Both lower bounds of every section s_2..s_N of f lie at or below its
+    boundary_min value at THEOREM1_RADIUS and below the least value of
+    Re s_n' on 2^16 angles: with ``best`` the lesser of the two (the latter
+    one ulp lower), verify._section_margins still measures the section."""
+    b = f.coeffs[1:] * np.arange(1, f.order + 1)
+    z = THEOREM1_RADIUS * np.exp(2j * np.pi * np.arange(2**16) / 2**16)
+    power = np.ones_like(z)
+    dense = b[0] * power
+    for n in range(2, f.order + 1):
+        power *= z
+        dense += b[n - 1] * power  # s_n' on the 2^16 angles
+        scan = boundary_min(section(f, n), "re-deriv", THEOREM1_RADIUS, verify._GRID)
+        best = min(scan.min_value, np.nextafter(dense.real.min(), -math.inf))
+        margins = verify._section_margins(f, best)
+        assert margins[n - 2] == (scan.min_value, scan.argmin_theta), n
+
+
+@pytest.mark.parametrize("f", [f0(40), koebe(30), MIXED], ids=["f0", "koebe", "real-then-complex"])
+def test_skip_bounds_are_sound(f):
+    _assert_skip_bounds_are_sound(f)
 
 
 if HAS_HYPOTHESIS:
@@ -445,6 +468,85 @@ if HAS_HYPOTHESIS:
         _assert_section_margins_are_boundary_min(
             synthesize_F(spec_from_seed(seed, atom_count), order=n_max)
         )
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(2, 30))
+    @settings(max_examples=30, deadline=None)
+    def test_skip_bounds_of_sampled_members_are_sound(seed, atom_count, n_max):
+        _assert_skip_bounds_are_sound(synthesize_F(spec_from_seed(seed, atom_count), order=n_max))
+
+
+@pytest.mark.parametrize(
+    "seed, atom_count, n_max",
+    [(0, 3, 20), (1, 3, 20), (2, 3, 20), (3, 3, 20), (7, 1, 20), (7, 6, 20), (7, 3, 8), (7, 3, 30)],
+)
+def test_theorem1_suite_equals_the_unskipped_sweep(monkeypatch, seed, atom_count, n_max):
+    """Skipping sections changes no report: the suite equals the sweep that
+    measures every section of every member (best = inf) bit for bit, while it
+    refines fewer sections than there are.  With one atom every member is a
+    rotation of f0, which ties with the extremal at n = 2, so the coefficient
+    bound transforms every row."""
+    rows, refined = [], []
+    real_values, real_refine, real_margins = (
+        verify._circle_values,
+        verify._refine,
+        verify._section_margins,
+    )
+
+    def circle_values(matrix, *args):
+        rows.append(len(matrix))
+        return real_values(matrix, *args)
+
+    def refine(*args):
+        refined.append(args)
+        return real_refine(*args)
+
+    monkeypatch.setattr(verify, "_circle_values", circle_values)
+    monkeypatch.setattr(verify, "_refine", refine)
+    report = theorem1_suite(count=100, atom_count=atom_count, n_max=n_max, seed=seed)
+    sections = 101 * (n_max - 1)
+    assert len(refined) < sections
+    if atom_count == 1:
+        assert sum(rows) == sections
+    else:
+        assert sum(rows) < sections
+    rows.clear()
+    refined.clear()
+    monkeypatch.setattr(verify, "_section_margins", lambda f, best: real_margins(f, math.inf))
+    unskipped = theorem1_suite(count=100, atom_count=atom_count, n_max=n_max, seed=seed)
+    assert (sum(rows), len(refined)) == (sections, sections)
+    assert report.items == unskipped.items
+    assert report.parameters == unskipped.parameters
+
+
+def test_a_dip_between_grid_points_below_best_is_refined(monkeypatch):
+    """A planted member whose n = 2 minimum lies mid-cell, below f0's margin,
+    while its grid minimum lies above it by less than its cell bound's
+    c_2 = (h^2/8) |b_1| r: the sweep must refine it, and it sets the minimum."""
+    r, h = THEOREM1_RADIUS, 2.0 * math.pi / verify._GRID
+    alpha = math.pi - 100.5 * h  # Re(1 + beta r e^{i(theta + alpha)}) is least mid-cell
+    beta = (1.0 - 2e-6) / r  # true minimum 2e-6
+    planted = TruncatedSeries([0.0, 1.0, beta * np.exp(1j * alpha) / 2.0, 0.0, 0.0])
+    grid = (1.0 + beta * r * np.exp(1j * (h * np.arange(verify._GRID) + alpha))).real.min()
+    f0_margin = theorem1_suite(count=3, n_max=4, seed=7).items[0].computed
+    assert 0.0 < grid - f0_margin < h * h / 8.0 * beta * r
+
+    target = sample_specs(3, 3, 7)[1].seed
+    real = verify.synthesize_F
+    monkeypatch.setattr(
+        verify,
+        "synthesize_F",
+        lambda spec, order: planted if spec.seed == target else real(spec, order=order),
+    )
+    report = theorem1_suite(count=3, n_max=4, seed=7)
+    value, theta = verify._section_margins(planted, math.inf)[0]
+    assert abs(value - 2e-6) < 1e-12
+    assert report.items[0].computed == value < f0_margin
+    params = report.parameters
+    assert (params["min_margin_spec"], params["min_margin_n"], params["min_margin_theta"]) == (
+        target,
+        2,
+        theta,
+    )
 
 
 # ---------------------------------------------------------------------------
