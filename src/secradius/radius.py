@@ -3,23 +3,23 @@
 A *criterion* attaches to each polynomial s a real field on the disc whose
 positivity expresses a geometric property:
 
-=================  =============================  =========================
-criterion          field                          property on |z| < r
-=================  =============================  =========================
-re-deriv           Re s'(z)                       derivative has
-                                                  positive real part
-convex             Re(1 + z s''(z)/s'(z))        convexity
-starlike           Re(z s'(z)/s(z))              starlikeness w.r.t. 0
-local-univalence   none: the guard bound of s'    s' does not vanish
-=================  =============================  =========================
+================  ======================  ============  =====================
+criterion         field                   num / den     property on |z| < r
+================  ======================  ============  =====================
+re-deriv          Re s'(z)                s' / 1        derivative has
+                                                        positive real part
+convex            Re(1 + z s''(z)/s'(z))  (z s')' / s'  convexity
+starlike          Re(z s'(z)/s(z))        s' / (s/z)    starlikeness w.r.t. 0
+local-univalence  none                    guard s'      s' does not vanish
+================  ======================  ============  =====================
 
 Local univalence has no field: it asks only that s' be zero-free, and the
 certified guard bound of s' (below) is its radius.
 
 Each field is harmonic wherever its defining quotient is analytic, so its
-minimum over a closed disc sits on the bounding circle.  Every field is a
-numerator and at most one denominator polynomial from one table, and
-:func:`_field_scan` prepares such a field once per solve.  Each circle then
+minimum over a closed disc sits on the bounding circle.  Every field is
+Re(num/den) for the two polynomials of one table, Re s' included (den = 1),
+and :func:`_field_scan` prepares such a field once per solve.  Each circle then
 costs one inverse FFT of the stacked coefficient rows for a grid scan, and
 safeguarded Newton steps near the grid argmin, each one Horner pass over
 both polynomials; :func:`boundary_min` and ``verify``'s scans of g and
@@ -166,17 +166,15 @@ def golden_section_min(
     return best[1], best[0]
 
 
-def _field_parts(
-    s: TruncatedSeries, criterion: Criterion
-) -> tuple[np.ndarray | None, np.ndarray | None]:
+def _field_parts(s: TruncatedSeries, criterion: Criterion) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients (num, den) of the polynomials that make up the field.
 
-    The field is Re num when ``den`` is None and Re(num/den) otherwise;
+    The field is Re(num/den), with den = 1 for Re s';
     :func:`_point_jet` and :func:`_field_scan` evaluate it.  ``den`` is also
     the guard polynomial whose zeros inside the disc void the boundary
-    argument.  For starlikeness num(0)/den(0) = c_1/c_1, so z = 0 needs no
-    special case.  Local univalence has no field (its radius is the guard
-    bound of s'), so it raises :class:`ValidationError`.
+    argument (a constant has none).  For starlikeness num(0)/den(0) = c_1/c_1,
+    so z = 0 needs no special case.  Local univalence has no field (its
+    radius is the guard bound of s'), so it raises :class:`ValidationError`.
     """
     if criterion is Criterion.LOCAL_UNIVALENCE:
         raise ValidationError("local-univalence has no boundary field")
@@ -184,7 +182,7 @@ def _field_parts(
     m = np.arange(1, c.size)
     ds = c[1:] * m
     if criterion is Criterion.RE_DERIV:
-        return ds, None
+        return ds, np.ones(1)
     if criterion is Criterion.CONVEXITY:
         # 1 + z s''/s' = (z s')'/s', and (z s')' = sum m^2 c_m z^(m-1)
         return ds * m, ds
@@ -204,26 +202,14 @@ def _re_theta_jet(
 def _point_jet(parts: tuple) -> Callable[[complex], tuple[float, float, float]]:
     """Closure giving (phi, phi', phi'') at a point for :func:`_field_parts` output.
 
-    phi is the field and the primes are theta-derivatives along the circle
-    through the point.  One plain-Python Horner pass from the highest power
-    gives each polynomial's value and first two derivatives, a quotient's
-    numerator and denominator in one loop (the shorter padded with zeros);
-    for the short polynomials here this beats numpy arrays point by point.
+    phi = Re(num/den) is the field and the primes are theta-derivatives
+    along the circle through the point.  One plain-Python Horner pass from
+    the highest power gives the numerator's and denominator's values and
+    first two derivatives in one loop (the shorter padded with zeros); for
+    the short polynomials here this beats numpy arrays point by point.
+    With den = 1 the quotient's jet is the numerator's, exactly.
     """
-    num, den = parts
-    if den is None:
-        rev = num[::-1].tolist()
-
-        def field(z: complex) -> tuple[float, float, float]:
-            p = p1 = p2 = 0j
-            for c in rev:
-                p2 = p2 * z + p1
-                p1 = p1 * z + p
-                p = p * z + c
-            return _re_theta_jet(z, p, p1, 2.0 * p2)
-
-        return field
-    pairs = list(zip_longest(num.tolist(), den.tolist(), fillvalue=0j))[::-1]
+    pairs = list(zip_longest(parts[0].tolist(), parts[1].tolist(), fillvalue=0j))[::-1]
 
     def quotient(z: complex) -> tuple[float, float, float]:
         n = n1 = n2 = d = d1 = d2 = 0j
@@ -256,20 +242,19 @@ def _circle_values(rows: np.ndarray, r: float, grid: int) -> np.ndarray:
 
 
 def _field_scan(parts: tuple, grid: int) -> Callable[[float], tuple[float, float]]:
-    """``scan(r) -> (value, theta)``, the minimum of the field of :func:`_field_parts`
-    output on |z| = r: :func:`_refine` of ``scan.field(r)``, the field at the angles
-    2 pi k / grid from :func:`_circle_values`.  Rows, jet and mirror flag are made once."""
-    size = max(p.size for p in parts if p is not None)
-    pad = [p if p.size == size else np.pad(p, (0, size - p.size)) for p in parts if p is not None]
-    rows = np.array(pad, dtype=np.complex128)
+    """``scan(r) -> (value, theta)``, the minimum of the field Re(num/den) of
+    :func:`_field_parts` output on |z| = r: :func:`_refine` of ``scan.field(r)``, the
+    field at the angles 2 pi k / grid from :func:`_circle_values`.  Rows, jet and
+    mirror flag are made once.  The row of den = 1 transforms to exactly 1, and
+    dividing by it is exact."""
+    rows = np.zeros((2, max(p.size for p in parts)), dtype=np.complex128)
+    for row, p in zip(rows, parts):
+        row[: p.size] = p
     jet = _point_jet(parts)
     mirror = not np.count_nonzero(rows.imag)
 
     def field(r: float) -> np.ndarray:
-        values = _circle_values(rows, r, grid)
-        if len(values) == 1:
-            return values[0].real
-        num, den = values
+        num, den = _circle_values(rows, r, grid)
         bad = int(np.abs(den).argmin())
         if abs(den[bad]) < _POLE_TOL:
             z = cmath.rect(r, bad * (_TWO_PI / grid))
@@ -420,7 +405,7 @@ def criterion_radius(
         return RadiusResult(1.0 if rho > RADIUS_CAP else rho, None, 0)
     parts = _field_parts(s, criterion)
     guard = parts[1]
-    rho = math.inf if guard is None else _graeffe_bound(guard)
+    rho = _graeffe_bound(guard)
     scan = _field_scan(parts, grid_size)
     top = min(rho, RADIUS_CAP)
     r, hi, found, probes = _bracket_root(scan, 0.0, None, top, tol)

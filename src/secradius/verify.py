@@ -148,7 +148,7 @@ def min_g() -> VerificationItem:
 
     g is Re(1 + z + z^2/2) on |z| = 1, scanned like any boundary field.
     """
-    value, theta = _field_scan((np.array([1.0, 1.0, 0.5]), None), _GRID)(1.0)
+    value, theta = _field_scan((np.array([1.0, 1.0, 0.5]), np.ones(1)), _GRID)(1.0)
     return VerificationItem("min_g", value, expected=0.25, tolerance=1e-10, witness=(1.0, theta))
 
 
@@ -379,7 +379,7 @@ def _section_margins(f: TruncatedSeries, best: float) -> list[tuple[float, float
             margins.append((math.inf, 0.0))
         else:
             margins.append(
-                _refine(_point_jet((b[:n], None)), row, r, not np.count_nonzero(b[:n].imag))
+                _refine(_point_jet((b[:n], np.ones(1))), row, r, not np.count_nonzero(b[:n].imag))
             )
     return margins
 

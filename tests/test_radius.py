@@ -275,7 +275,9 @@ def test_point_jet_derivatives_match_differences(criterion):
 
 def _separate_field(parts, r, grid, z):
     """Reference for :func:`_field_scan`: one inverse FFT and one Horner pass
-    per polynomial, each polynomial on its own, in the same arithmetic."""
+    per polynomial, each polynomial on its own, in the same arithmetic.  A
+    denominator of constant 1 is left out: the numerator's grid values and
+    jet alone, so no division by 1 takes part."""
 
     def circle(c):
         scaled = c * r ** np.arange(c.size)
@@ -292,7 +294,7 @@ def _separate_field(parts, r, grid, z):
         return p, d1, 2.0 * d2
 
     num, den = parts
-    if den is None:
+    if np.array_equal(den, [1.0]):
         return circle(num).real, radius_module._re_theta_jet(z, *horner(num))
     (n, n1, n2), (d, d1, d2) = horner(num), horner(den)
     q = n / d
@@ -304,15 +306,19 @@ def _separate_field(parts, r, grid, z):
 def test_field_scan_repeats_the_separate_polynomial_arithmetic():
     """The stacked FFT and the fused Horner loop give, bit for bit, the grid
     values and jets of one FFT and one Horner pass per polynomial, for the
-    criterion fields and for verify's fields of unequal lengths."""
+    criterion fields and for verify's fields of unequal lengths.  The fields
+    with denominator 1 (Re s' and min_g's g) give exactly the numerator's
+    values and jet: the row of 1 transforms to 1 and dividing by 1 is exact."""
     cases = [
         (_field_parts(s, criterion), r, grid)
         for s, r, grid in _grid_cases()
         for criterion in FIELD_CRITERIA
     ]
     cube = (np.ones(1), np.array([1.0, -3.0, 3.0, -1.0]))
-    cases += [((np.array([1.0, 1.0, 0.5]), None), 1.0, 2048), (cube, 1.0 / 3.0, 2048)]
+    cases += [((np.array([1.0, 1.0, 0.5]), np.ones(1)), 1.0, 2048), (cube, 1.0 / 3.0, 2048)]
     cases += [(cube, 0.6, 16)]
+    unit = [parts for parts, _r, _grid in cases if np.array_equal(parts[1], [1.0])]
+    assert len(unit) == len(_grid_cases()) + 1
     for parts, r, grid in cases:
         scan = _field_scan(parts, grid)
         jet = _point_jet(parts)
@@ -328,7 +334,7 @@ def test_verify_jets_match_differences():
     the same way."""
     grid = 256
     thetas = 2.0 * math.pi * np.arange(grid) / grid
-    g_jet = _point_jet((np.array([1.0, 1.0, 0.5]), None))
+    g_jet = _point_jet((np.array([1.0, 1.0, 0.5]), np.ones(1)))
     jets, error = _difference_errors(lambda t: g_jet(cmath.rect(1.0, t)), thetas)
     assert error <= 1e-5
     g = 1.0 + np.cos(thetas) + 0.5 * np.cos(2.0 * thetas)
@@ -615,12 +621,11 @@ def test_radius_errs_small_on_sampled_sections():
             assert 0.0 < res.radius < 1.0 and not res.clamped
             assert boundary_min(s, criterion, res.radius).min_value > 0.0
             den = _field_parts(s, criterion)[1]
-            rho = math.inf if den is None else float(np.min(np.abs(np.roots(den[::-1]))))
+            rho = float(np.min(np.abs(np.roots(den[::-1])), initial=math.inf))
             above = res.radius + tol
             assert above >= rho or boundary_min(s, criterion, above).min_value <= 0.0
-            if den is not None:
-                assert count_zeros(TruncatedSeries(den), res.radius) == 0
-                assert res.radius < rho
+            assert count_zeros(TruncatedSeries(den), res.radius) == 0
+            assert res.radius < rho
         assert radii[Criterion.CONVEXITY] <= radii[Criterion.STARLIKENESS] + tol
         assert radii[Criterion.RE_DERIV] <= radii[Criterion.LOCAL_UNIVALENCE] + tol
 
@@ -671,7 +676,7 @@ def test_radius_probes_stay_below_the_guard_bound(monkeypatch):
             discs.clear()
             criterion_radius(s, criterion)
             den = _field_parts(s, criterion)[1]
-            rho = math.inf if den is None else max([_graeffe_bound(den)] + discs)
+            rho = max([_graeffe_bound(den)] + discs)
             assert probed
             assert all(r < rho and r <= RADIUS_CAP for r in probed)
 
