@@ -24,8 +24,8 @@ costs one inverse FFT of the stacked coefficient rows for a grid scan, and
 safeguarded Newton steps near the grid argmin, each one Horner pass over
 both polynomials; :func:`boundary_min` and ``verify``'s scans of g and
 Re (1-z)^{-3} are one-probe cases, and ``verify``'s theorem-1 sweep scans
-the sections of a member with one FFT, skipping those that a certified
-lower bound puts above its running minimum.  A negative arc of the field
+a member's sections one FFT each, skipping those that a certified lower
+bound puts above its running minimum.  A negative arc of the field
 narrower than a grid cell, away from the grid argmin, can go unseen.
 
 :func:`criterion_radius` solves for the radius where the boundary minimum

@@ -315,22 +315,29 @@ def _section_margins(f: TruncatedSeries, best: float) -> list[tuple[float, float
     n = 2..f.order, bit for bit, except (inf, 0.0) for a section proved to stay above
     ``best``.
 
-    s_n' = sum_{k<n} b_k z^k is a prefix of f', so the rows of one triangular
-    matrix hold every section's derivative and one inverse FFT gives their
-    grids; each section is then refined alone (:func:`_refine`, with its own
-    jet and mirror flag).  With r = ``THEOREM1_RADIUS``, a_k = |b_k| r^k and
-    h = 2 pi / ``_GRID``, two lower bounds on Re s_n' over |z| <= r skip
-    work, each lowered by the slack e_n below:
+    s_n' = sum_{k<n} b_k z^k is a prefix of f'.  With r = ``THEOREM1_RADIUS``,
+    a_k = |b_k| r^k, t_n = sum_{1<=k<n} a_k and h = 2 pi / ``_GRID``, two
+    lower bounds on Re s_n' over |z| <= r skip work, each lowered by the
+    slack e_n below:
 
-    * the coefficient bound Re b_0 - sum_{1<=k<n} a_k.  It falls with n, as
-      computed too (its terms are non-negative and rounding is monotone), so
-      the sections it puts above ``best`` are a prefix, and the FFT takes
-      only the rows after it;
-    * the cell bound min(row) - c_n, c_n = (h^2/8) sum_{k<n} k^2 a_k.  On the
-      circle, phi(theta) = Re s_n'(r e^{i theta}) has |phi''| <= sum k^2 a_k,
-      so in each grid cell phi lies above the chord of its end values, less
-      c_n (the error of linear interpolation).  A row that it puts above
-      ``best`` is not refined.
+    * the cell bound low_n = min(row) - c_n - e_n, c_n = (h^2/8) sum_{k<n}
+      k^2 a_k, of section n's grid row (one inverse FFT,
+      :func:`_circle_values`).  On the circle, phi(theta) = Re s_n'(r e^{i
+      theta}) has |phi''| <= sum k^2 a_k, so in each grid cell phi lies above
+      the chord of its end values, less c_n (the error of linear
+      interpolation), and by the minimum principle so does Re s_n' on the
+      disc.  A row that it puts above ``best`` is not refined
+      (:func:`_refine`, with the section's own jet and mirror flag);
+    * the lifted coefficient bound lift - t_n - e_n.  Re s_n' >= Re b_0 - t_n,
+      and since s_n' = s_m' + sum_{m<=k<n} b_k z^k, Re s_n' >= low_m + t_m -
+      t_n for each row m < n transformed; lift is the largest of Re b_0 and
+      those low_m + t_m.  For a fixed lift the bound falls with n, as
+      computed too (t_n and e_n grow, and rounding is monotone), so the
+      sections it puts above ``best`` are a prefix of those left, counted by
+      one comparison; the row after them is transformed.
+
+    f0 comes with ``best`` = inf, so each of its rows is transformed and
+    refined.
 
     Rounding.  Let u = 2^-53, gamma_m = m u / (1 - m u), G = ``_GRID``,
     L = log2 G, N = f.order and A_n = sum_{k<n} a_k; pow, hypot, cos and sin
@@ -359,28 +366,39 @@ def _section_margins(f: TruncatedSeries, best: float) -> list[tuple[float, float
     The cell bound also carries the error (1) of min(row) itself.  (1)
     twice, (2) and (3) add to less than e_n for every n <= N: the FFT's
     error twice is below 16 L sqrt(G) u A_n + 8 u A_n, and the rest below
-    (9 N + 6) u (A_n + c_n).
+    (9 N + 6) u (A_n + c_n).  In the lifted bound, e_m (carried in low_m)
+    covers row m's own errors, (1) of min(row) and (3) of c_m and of two
+    subtractions, so low_m is at most min Re s_m' on the disc.  e_n covers
+    the rest: the error of a value reported for section n, (1) or (2); the
+    difference t_n - t_m of two computed sums, within 2 gamma_{n+3} A_n; and
+    three subtractions, low_m + t_m, - t_n and - e_n, whose operands stay
+    below 4 (A_n + c_n).  These add to less than
+    8 L sqrt(G) u A_n + (9 N + 25) u (A_n + c_n) < e_n.
     """
     r = THEOREM1_RADIUS
     b = _field_parts(f, Criterion.RE_DERIV)[0]
     k = np.arange(b.size)
     a = np.abs(b) * r**k
-    tail = np.cumsum(a[1:])  # sum_{1<=k<n} a_k, n = 2..N
+    tail = np.cumsum(a[1:])  # t_n, n = 2..N
     curve = (_TWO_PI / _GRID) ** 2 / 8.0 * np.cumsum(k * k * a)[1:]  # c_n
     gamma = 16.0 * (math.log2(_GRID) * math.sqrt(_GRID) + 2.0 * b.size) * _UNIT_ROUNDOFF
     slack = gamma * (a[0] + tail + curve)  # e_n
-    start = int(np.count_nonzero(b[0].real - tail - slack > best))
-    rows = np.tril(np.broadcast_to(b, (b.size - 1 - start, b.size)), start + 1)
-    values = _circle_values(rows, r, _GRID).real
-    cell = values.min(axis=1) - curve[start:] - slack[start:]
-    margins = [(math.inf, 0.0)] * start
-    for n, row, low in zip(range(start + 2, b.size + 1), values, cell):
+    lift = b[0].real
+    margins: list[tuple[float, float]] = []
+    while (j := len(margins)) < tail.size:
+        skipped = np.count_nonzero(lift - tail[j:] - slack[j:] > best)
+        if skipped:
+            margins += [(math.inf, 0.0)] * skipped
+            continue
+        deriv = b[: j + 2]  # s_n', n = j + 2
+        row = _circle_values(deriv[None], r, _GRID)[0].real
+        low = row.min() - curve[j] - slack[j]
         if low > best:
             margins.append((math.inf, 0.0))
         else:
-            margins.append(
-                _refine(_point_jet((b[:n], np.ones(1))), row, r, not np.count_nonzero(b[:n].imag))
-            )
+            jet = _point_jet((deriv, np.ones(1)))
+            margins.append(_refine(jet, row, r, not np.count_nonzero(deriv.imag)))
+        lift = max(lift, low + tail[j])
     return margins
 
 
@@ -391,7 +409,7 @@ def theorem1_suite(
 
     Re s_n' of every section n = 2..n_max of every sampled member is
     minimized over the circle of radius 1/3 - 1e-6 on a ``_GRID``-point scan
-    (one inverse FFT per member, then Newton per section), except where a
+    (an inverse FFT of the section's row, then Newton), except where a
     certified lower bound puts a section above the running minimum, which it
     then cannot set (:func:`_section_margins`); f0 comes first and is
     measured whole.  The suite asserts the global minimum margin stays

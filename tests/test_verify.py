@@ -482,9 +482,10 @@ if HAS_HYPOTHESIS:
 def test_theorem1_suite_equals_the_unskipped_sweep(monkeypatch, seed, atom_count, n_max):
     """Skipping sections changes no report: the suite equals the sweep that
     measures every section of every member (best = inf) bit for bit, while it
-    refines fewer sections than there are.  With one atom every member is a
-    rotation of f0, which ties with the extremal at n = 2, so the coefficient
-    bound transforms every row."""
+    transforms and refines fewer sections than there are.  With one atom every
+    member is a rotation of f0, which ties with the extremal at n = 2, so each
+    member transforms and refines its n = 2 row; the cell bound of that row,
+    lifted, then skips most of the later rows."""
     rows, refined = [], []
     real_values, real_refine, real_margins = (
         verify._circle_values,
@@ -505,10 +506,9 @@ def test_theorem1_suite_equals_the_unskipped_sweep(monkeypatch, seed, atom_count
     report = theorem1_suite(count=100, atom_count=atom_count, n_max=n_max, seed=seed)
     sections = 101 * (n_max - 1)
     assert len(refined) < sections
-    if atom_count == 1:
-        assert sum(rows) == sections
-    else:
-        assert sum(rows) < sections
+    assert sum(rows) < sections
+    if (seed, atom_count, n_max) == (7, 1, 20):
+        assert (sum(rows), len(refined)) == (419, 119)
     rows.clear()
     refined.clear()
     monkeypatch.setattr(verify, "_section_margins", lambda f, best: real_margins(f, math.inf))
@@ -546,6 +546,47 @@ def test_a_dip_between_grid_points_below_best_is_refined(monkeypatch):
         target,
         2,
         theta,
+    )
+
+
+def test_a_large_late_coefficient_below_a_lifted_anchor_is_measured(monkeypatch):
+    """Two planted members share f'(z) = 1 + b_1 z + b_2 z^2 + ... with
+    |b_1| r = |b_2| r^2 = 0.8: the coefficient bound fails at n = 3, whose row
+    is transformed, and its minimum, about 0.1, lies far above f0's margin.  In
+    the small member a tail of 0.002 cannot pull the later sections down, so
+    that row is the only one transformed.  In the large member
+    b_4 r^4 = -0.5 pulls s_5' below zero, so the lifted bound fails at n = 5:
+    the sweep transforms and refines that row, and it sets the minimum."""
+    r = THEOREM1_RADIUS
+    head = [0.0, 1.0, 0.8 / r / 2.0, 0.8 / r**2 / 3.0]
+    small = TruncatedSeries(head + [0.001 / r**3 / 4.0, 0.001 / r**4 / 5.0])
+    large = TruncatedSeries(head + [0.0, -0.5 / r**4 / 5.0])
+    specs = sample_specs(3, 3, 7)
+    planted = {specs[0].seed: small, specs[2].seed: large}
+    transformed, member = [], []
+    real_synthesize, real_values = verify.synthesize_F, verify._circle_values
+
+    def synthesize(spec, order):
+        member.append(spec.seed)
+        return planted[spec.seed] if spec.seed in planted else real_synthesize(spec, order=order)
+
+    def circle_values(matrix, *args):
+        transformed.append((member[-1], matrix.shape[1]))
+        return real_values(matrix, *args)
+
+    monkeypatch.setattr(verify, "synthesize_F", synthesize)
+    monkeypatch.setattr(verify, "_circle_values", circle_values)
+    report = theorem1_suite(count=3, n_max=5, seed=7)
+    rows = {seed: [n for label, n in transformed if label == seed] for seed in planted}
+    assert rows == {specs[0].seed: [3], specs[2].seed: [3, 5]}
+    scan = boundary_min(section(large, 5), "re-deriv", r, verify._GRID)
+    assert scan.min_value < -0.3
+    assert report.items[0].computed == scan.min_value
+    params = report.parameters
+    assert (params["min_margin_spec"], params["min_margin_n"], params["min_margin_theta"]) == (
+        specs[2].seed,
+        5,
+        scan.argmin_theta,
     )
 
 
