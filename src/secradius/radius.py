@@ -41,6 +41,29 @@ modulus on Gerschgorin discs around the ``np.roots`` approximations
 circle on those discs, exactly unless a disc meets the circle.  Both that
 and a field denominator vanishing at a scanned point raise
 :class:`ZeroOnCircleError`: a zero on the circle to working precision.
+
+Rounding model.  Each certified bound errs small in floating point by these
+facts (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.):
+(U) u = 2^-53 and gamma_n = n u / (1 - n u); +, -, *, / and ``sqrt`` err by
+    at most u relative, libm ``pow``, ``hypot``, ``cos`` and ``sin`` by one ulp, 2u.
+(P) Complex products err by at most sqrt(2) gamma_2 relative, sums by u (Lemma 3.5).
+(H) Horner's rule of degree d at z (:func:`_point_jet`, ``np.polyval``) errs
+    by at most gamma_{4d} sum_k |c_k| |z|^k, gamma_{2d} on real data: a step
+    errs by gamma_4, or gamma_2, by (P); the first, 0 z + c_d, is exact (section 5.1).
+(S) A sum of m real terms, in any order, errs by at most gamma_{m-1} times
+    the sum of their moduli, and an entry of ``np.convolve``, which sums m
+    complex products, by gamma_{m+2} times theirs (Lemma 3.1, sections 3.1 and 4.2).
+(F) A value of :func:`_circle_values` of a row x, G = grid >= len(x) and
+    L = log2 G, errs by at most (8 L sqrt(G) + 4) u sum_k |x_k| r^k: scaling
+    by r^k errs by gamma_3 (U), and a radix-2 FFT with weights within
+    mu <= 2u errs in the 2-norm by L eta / (1 - L eta) < 8 L u times the
+    exact transform's, sqrt(G) times the row's, eta = mu + gamma_4 (sqrt(2) +
+    mu) (section 24.1); a longer row first sums ceil(len(x) / G) entries per
+    column (S).  Assumed, not proved: pocketfft's weights meet mu, and its
+    radix-4 and radix-8 passes keep the bound of 2 and 3 radix-2 levels, as a
+    term meets at most as many sums and products by constants within mu.
+(C) A bound's code takes a multiple of u at least twice the gamma_n it
+    needs, which leaves room for second-order terms and its own arithmetic.
 """
 
 from __future__ import annotations
@@ -334,20 +357,19 @@ def boundary_min(
 def count_zeros(s: TruncatedSeries, r: float) -> int:
     """Number of zeros of ``s`` in |z| < r, counted on certified root discs.
 
-    Zero coefficients of the highest powers are dropped, and k zero
-    coefficients of the lowest powers count as k zeros at the origin.
-    :func:`_root_discs` encloses the zeros of what remains.  When no disc
-    meets the circle |z| = r, each connected component of their union lies
-    wholly inside or wholly outside the circle, and by Gerschgorin's second
-    theorem holds as many zeros as discs; so the count, the origin's zeros
-    plus the discs inside, is exact.
+    After :func:`_trim_top`, k zero coefficients of the lowest powers count
+    as k zeros at the origin, and :func:`_root_discs` encloses the zeros of
+    what remains.  When no disc meets the circle |z| = r, each connected
+    component of their union lies wholly inside or wholly outside the
+    circle, and by Gerschgorin's second theorem holds as many zeros as
+    discs; so the count, the origin's zeros plus the discs inside, is exact.
 
     Raises :class:`ZeroOnCircleError` when ``s`` is identically 0, or when
     a disc meets the circle or is not finite (coincident root
     approximations): the discs then cannot place a zero on either side.
     """
     r = _radius(r)
-    c = np.trim_zeros(s.coeffs, "b")
+    c = _trim_top(s.coeffs)
     if c.size == 0:
         raise ZeroOnCircleError("the series is identically 0")
     origin = c.size - np.trim_zeros(c, "f").size
@@ -424,49 +446,48 @@ def criterion_radius(
     return RadiusResult(r, witness, probes)
 
 
+def _trim_top(coeffs: np.ndarray) -> np.ndarray:
+    """``coeffs`` less the zero coefficients of its highest powers (all, for the zero
+    polynomial), which ``np.roots`` drops too: the degree is that of what is left."""
+    nonzero = np.flatnonzero(coeffs)
+    return coeffs[: nonzero[-1] + 1 if nonzero.size else 0]
+
+
 def _graeffe_bound(coeffs: np.ndarray) -> float:
     """Certified lower bound on the root moduli of the polynomial with
     ``coeffs``, found with no eigenvalues.
 
-    Zero coefficients of the highest powers are trimmed, which leaves degree
-    d; a constant (d = 0) has no zeros and gets inf.  Three Graeffe
-    squarings h(z^2) = p(z) p(-z), each the even entries of one
-    ``np.convolve``, give a degree-d h whose zeros are the eighth powers of
-    p's.  If |w| <= x, then |h(w)| >= |h_0| - sum_{k>=1} |h_k| x^k, so every
-    zero of h lies beyond the positive root x of Cauchy's equation
+    :func:`_trim_top` leaves degree d, and a constant (d = 0) has no zeros:
+    inf.  Three Graeffe squarings h(z^2) = p(z) p(-z), each the even entries
+    of one ``np.convolve``, give a degree-d h whose zeros are the eighth
+    powers of p's.  If |w| <= x, then |h(w)| >= |h_0| - sum_{k>=1} |h_k| x^k,
+    so every zero of h lies beyond the positive root x of Cauchy's equation
     |h_0| = sum_{k>=1} |h_k| x^k, and every zero of p lies beyond x^(1/8).
     This is the k = 0 case of Pellet's test (Becker, Sagraloff, Sharma and
     Yap, J. Symbolic Comput. 86, 2018).  The bound is at least
     (2^(1/d) - 1)^(1/8) times the least root modulus, 0.63 times at d = 29.
 
-    Rounding.  Let A be the same squarings of the moduli |c_k| with no
-    signs (one more ``np.convolve`` each).  It bounds the moduli of the
-    exact coefficients and, to first order, of the computed ones.  Each
-    entry of a computed convolution is a sum of at most d + 1 complex
-    products, so it errs by at most gamma_{d+3} times the sum of the
-    products' moduli, where u = 2^-53 and gamma_n = n u / (1 - n u) (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, Lemma 3.5 and
-    section 3.1).  If the inputs of a squaring err by at most eta A, entry
-    by entry, then its outputs err by at most
-    ((1 + eta)^2 (1 + gamma_{d+3}) - 1) A', and after three squarings by
-    (1 + gamma_{d+3})^7 - 1, about 7 gamma_{d+3}.  gamma = 2(d + 3) u is
-    about twice gamma_{d+3}.  So e = 8 gamma A bounds the error of the
-    computed h, with room for the rounding of A itself, of the moduli and of
-    the sums below.  It is solved for
-    |h_0| - e_0 = sum_{k>=1} (|h_k| + e_k) x^k, whose root lies below the
-    exact one.  Newton steps on the logarithm of both sides, whose right
-    side is convex in log x, descend onto that root from the upper bound
-    min_k ((|h_0| - e_0) / (|h_k| + e_k))^(1/k).  The last step is then
-    lowered until the right side, evaluated by Horner's rule and times
-    1 + gamma (covering that rule's gamma_{2d+1}), falls below the left.
-    Three correctly rounded square roots and a factor 1 - 4u round x^(1/8)
-    down.  With nonzero moduli in [2^-32, 2^32], every nonzero product of
-    eight lies in [2^-256, 2^256], so nothing that matters underflows and
-    the quotients above stay finite; other moduli give the bound 0.0, as
-    does e_0 >= |h_0|.
+    Rounding, by the module's model.  Let A be the same squarings of the
+    moduli |c_k| with no signs (one more ``np.convolve`` each); it bounds
+    the moduli of the exact coefficients and, to first order, of the
+    computed ones.  A squaring's entry sums at most d + 1 products, so it
+    errs by gamma_{d+3} A' (S).  If its inputs err by at most eta A, entry by
+    entry, its outputs err by ((1 + eta)^2 (1 + gamma_{d+3}) - 1) A', and
+    after three squarings by (1 + gamma_{d+3})^7 - 1, about 7 gamma_{d+3}.
+    With gamma = 2(d + 3) u (C), e = 8 gamma A bounds the error of the
+    computed h, with room for the rounding of A, of the moduli and of the
+    sums below.  It is solved for |h_0| - e_0 = sum_{k>=1} (|h_k| + e_k) x^k,
+    whose root lies below the exact one: Newton steps on the logarithm of
+    both sides, whose right side is convex in log x, descend onto it from
+    min_k ((|h_0| - e_0) / (|h_k| + e_k))^(1/k), and the last step is
+    lowered until the right side, by Horner's rule times 1 + gamma (covering
+    gamma_{2d+1}, (H) on real data), falls below the left.  Three square
+    roots and a factor 1 - 4u round x^(1/8) down (U).  With nonzero moduli
+    in [2^-32, 2^32], every nonzero product of eight lies in [2^-256, 2^256],
+    so nothing that matters underflows and the quotients above stay finite;
+    other moduli give the bound 0.0, as does e_0 >= |h_0|.
     """
-    nonzero = np.flatnonzero(coeffs)
-    h = coeffs[: nonzero[-1] + 1 if nonzero.size else 0]
+    h = _trim_top(coeffs)
     d = h.size - 1
     if d < 1:
         return math.inf
@@ -523,26 +544,19 @@ def _guard_bound(coeffs: np.ndarray) -> float:
 def _root_discs(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least and greatest modulus on each of the discs that hold the zeros.
 
-    Zero coefficients of the highest powers are trimmed first, as
-    ``np.roots`` drops them; that leaves degree d and leading coefficient
-    c_d, and a constant (d = 0) has no discs.  Let a_i be the ``np.roots``
-    approximations to the d zeros and
-    w_i = p(a_i) / (c_d prod_{j != i} (a_i - a_j)).  Lagrange interpolation
-    at the a_i gives p(z) = c_d det(z I - M) with M = diag(a) - w 1^T, so by
-    Gerschgorin's theorem every zero of p lies in a disc
-    |z - (a_i - w_i)| <= (d - 1)|w_i| (B. T. Smith, J. ACM 17, 1970),
+    :func:`_trim_top` leaves degree d and leading coefficient c_d, and a
+    constant (d = 0) has no discs.  Let a_i be the ``np.roots`` approximations
+    to the d zeros and w_i = p(a_i) / (c_d prod_{j != i} (a_i - a_j)).
+    Lagrange interpolation at the a_i gives p(z) = c_d det(z I - M) with
+    M = diag(a) - w 1^T, so by Gerschgorin's theorem every zero of p lies in
+    a disc |z - (a_i - w_i)| <= (d - 1)|w_i| (B. T. Smith, J. ACM 17, 1970),
     however far the a_i are off, and a connected component of k discs holds
     k zeros.
 
-    Rounding.  ``np.polyval`` is Horner's rule: each of its d steps makes
-    one complex product (relative error at most sqrt(2) gamma_2) and one
-    sum (at most u), so the computed p(a_i) lies within
-    gamma_{4d+1} sum_k |c_k| |a_i|^k of the exact value, where u = 2^-53 and
-    gamma_n = n u / (1 - n u) (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, Lemma 3.5 and section 5.1).  The product and the quotient
-    that form w_i add relative error below gamma_{4d+4}.  gamma = 8(d + 1) u
-    is about twice both, which leaves room for the second-order terms and
-    for the rounding of the discs' own few operations.  So
+    Rounding, by the module's model.  The computed p(a_i) lies within
+    gamma_{4d} sum_k |c_k| |a_i|^k of the exact value (H), and the
+    differences and products (P) and the quotient that form w_i add
+    relative error below gamma_{4d+4}; gamma = 8(d + 1) u (C).  So
     E_i = gamma (sum_k |c_k| |a_i|^k / |c_d prod (a_i - a_j)| + |w_i|
     + |a_i - w_i|) exceeds the error of the computed w_i, and its last term
     covers the rounding of the disc arithmetic.  With computed w_i the
@@ -550,8 +564,7 @@ def _root_discs(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     |a_i - w_i| + (d - 1)|w_i| + d E_i; coincident approximations make w_i
     infinite and the moduli not numbers.
     """
-    nonzero = np.flatnonzero(coeffs)
-    p = coeffs[: nonzero[-1] + 1 if nonzero.size else 0][::-1]
+    p = _trim_top(coeffs)[::-1]
     d = p.size - 1
     if d < 1:
         return np.empty(0), np.empty(0)

@@ -336,44 +336,30 @@ def _section_margins(f: TruncatedSeries, best: float) -> list[tuple[float, float
       sections it puts above ``best`` are a prefix of those left, counted by
       one comparison; the row after them is transformed.
 
-    f0 comes with ``best`` = inf, so each of its rows is transformed and
-    refined.
-
-    Rounding.  Let u = 2^-53, gamma_m = m u / (1 - m u), G = ``_GRID``,
-    L = log2 G, N = f.order and A_n = sum_{k<n} a_k; pow, hypot, cos and sin
-    are taken to err by at most one ulp, 2u.  The slack is
-    e_n = 16 (L sqrt(G) + 2N) u (A_n + c_n).  It covers the rounding of the
+    Rounding (:mod:`secradius.radius`, rounding model (F), (H), (S), (U)).
+    Let G = ``_GRID``, L = log2 G, N = f.order and A_n = sum_{k<n} a_k.  The
+    slack e_n = 16 (L sqrt(G) + 2N) u (A_n + c_n) covers the rounding of the
     bounds and of every value the unskipped path would compute, so a skipped
-    section could not have reported a value below ``best``: (1) a grid value
-    is the FFT of the row scaled by r^k, whose entries err by gamma_3.  A
-    radix-2 FFT with weights within mu <= 2u errs in the 2-norm by at most
-    L eta / (1 - L eta) < 8 L u times the exact transform's 2-norm,
-    eta = mu + gamma_4 (sqrt(2) + mu) (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, section 24.1), and that norm is sqrt(G) times the
-    row's, at most sqrt(G) A_n; so each grid value errs from phi by at most
-    (8 L sqrt(G) + 4) u A_n (a row longer than G first sums N / G entries
-    per column, which the N term covers).  (2) A Newton value is Horner's
-    rule at z = ``cmath.rect(r, theta)``, |z| <= r (1 + gamma_3): moving z
-    onto the circle changes s_n' by at most gamma_{3n} A_n, and complex
-    Horner, whose steps err by gamma_4 (Higham, section 5.1 and Lemma 3.5: a
-    product within sqrt(2) gamma_2, a sum within u), by at most
-    gamma_{4n} (1 + gamma_{3n}) A_n, together gamma_{7n} A_n.  So every
-    reported value, the grid argmin's or a Newton value, is at least min phi
-    less the sum of (1) and (2).  (3) Each a_k (hypot, pow and a product) errs by gamma_5, so the
-    cumulative sums err by gamma_{n+3} A_n and c_n by gamma_{n+8} c_n
-    (Higham, Lemma 3.1 and section 4.2), the two subtractions of each bound
-    by at most u times their operands, and e_n itself by gamma_{n+12} e_n.
-    The cell bound also carries the error (1) of min(row) itself.  (1)
-    twice, (2) and (3) add to less than e_n for every n <= N: the FFT's
-    error twice is below 16 L sqrt(G) u A_n + 8 u A_n, and the rest below
-    (9 N + 6) u (A_n + c_n).  In the lifted bound, e_m (carried in low_m)
-    covers row m's own errors, (1) of min(row) and (3) of c_m and of two
-    subtractions, so low_m is at most min Re s_m' on the disc.  e_n covers
-    the rest: the error of a value reported for section n, (1) or (2); the
-    difference t_n - t_m of two computed sums, within 2 gamma_{n+3} A_n; and
-    three subtractions, low_m + t_m, - t_n and - e_n, whose operands stay
-    below 4 (A_n + c_n).  These add to less than
-    8 L sqrt(G) u A_n + (9 N + 25) u (A_n + c_n) < e_n.
+    section could not have reported a value below ``best``.  (1) A grid value
+    errs from phi by at most (8 L sqrt(G) + 4) u A_n (F); a row longer than G
+    first sums N / G entries per column, which the N term covers.  (2) A
+    Newton value is Horner's rule at z = ``cmath.rect(r, theta)``, within
+    gamma_3 r of the circle (U), so it errs by gamma_{3n} A_n plus
+    gamma_{4n} (1 + gamma_{3n}) A_n (H), together gamma_{7n} A_n.  So every
+    reported value is at least min phi less the sum of (1) and (2).  (3) Each
+    a_k (hypot, pow and a product) errs by gamma_5 (U), so the cumulative
+    sums err by gamma_{n+3} A_n and c_n by gamma_{n+8} c_n (S), the two
+    subtractions of each bound by u times their operands, and e_n by
+    gamma_{n+12} e_n.  The cell bound also carries (1) of min(row).  (1)
+    twice, (2) and (3) add to less than e_n for every n <= N: the FFT's error
+    twice is below 16 L sqrt(G) u A_n + 8 u A_n, and the rest below
+    (9 N + 6) u (A_n + c_n).  In the lifted bound, e_m covers row m's own
+    errors, (1) of min(row) and (3) of c_m and of two subtractions, so low_m
+    is at most min Re s_m' on the disc.  e_n covers the rest: the error of a
+    value reported for section n, (1) or (2); the difference t_n - t_m of two
+    computed sums, within 2 gamma_{n+3} A_n; and three subtractions,
+    low_m + t_m, - t_n and - e_n, whose operands stay below 4 (A_n + c_n); in
+    all, less than 8 L sqrt(G) u A_n + (9 N + 25) u (A_n + c_n) < e_n.
     """
     r = THEOREM1_RADIUS
     b = _field_parts(f, Criterion.RE_DERIV)[0]

@@ -552,6 +552,13 @@ def test_readme_report_schema_item_matches_library():
     assert example["items"] == [cli._item_payload(min_re_cube_kernel())]
 
 
+def test_readme_library_tour_runs():
+    """README's library tour runs as printed, its closing assertion included."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Library tour")[1].split("```python\n")[1].split("```")[0]
+    exec(compile(block, "README.md", "exec"), {})
+
+
 # ---------------------------------------------------------------------------
 # parser plumbing
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -129,6 +130,29 @@ def test_convexity_pole_detection():
     s = TruncatedSeries([0, 1, -2])  # s' = 1 - 4z vanishes at z = 1/4
     with pytest.raises(ZeroOnCircleError, match=r"\(z = \(0\.25\+0j\)\)"):
         _value(s, Criterion.CONVEXITY, 0.25)
+
+
+def test_horner_errs_within_the_rounding_model():
+    """Fact (H) of ``radius``' rounding model: Horner's rule of degree d at a
+    float point z, as ``_point_jet`` and ``np.polyval`` run it, lies within
+    gamma_{4d} sum_k |c_k| |z|^k of the exact value at that z, found here in
+    rational arithmetic (the bound itself is summed in floats)."""
+    u = Fraction(1, 2**53)
+    rng = np.random.default_rng(26)
+    for _ in range(300):
+        d = int(rng.integers(1, 61))
+        phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, d + 1))
+        c = 10.0 ** rng.uniform(-3.0, 3.0, d + 1) * phases
+        z = cmath.rect(rng.uniform(0.1, 1.2), rng.uniform(0.0, 2.0 * math.pi))
+        x, y = Fraction(z.real), Fraction(z.imag)
+        re = im = Fraction(0)
+        for ck in c[::-1].tolist():
+            re, im = re * x - im * y + Fraction(ck.real), re * y + im * x + Fraction(ck.imag)
+        gamma = 4 * d * u / (1 - 4 * d * u)
+        bound = gamma * Fraction(math.fsum(abs(ck) * abs(z) ** k for k, ck in enumerate(c)))
+        assert abs(Fraction(_point_jet((c, np.ones(1)))(z)[0]) - re) <= bound
+        value = complex(np.polyval(c[::-1], z))
+        assert (Fraction(value.real) - re) ** 2 + (Fraction(value.imag) - im) ** 2 <= bound**2
 
 
 # ---------------------------------------------------------------------------
