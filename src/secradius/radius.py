@@ -47,6 +47,10 @@ facts (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.):
 (U) u = 2^-53 and gamma_n = n u / (1 - n u); +, -, *, / and ``sqrt`` err by
     at most u relative, libm ``pow``, ``hypot``, ``cos`` and ``sin`` by one ulp, 2u.
 (P) Complex products err by at most sqrt(2) gamma_2 relative, sums by u (Lemma 3.5).
+(D) A complex quotient, numpy's or CPython's, errs normwise by at most
+    sqrt(2) gamma_4 relative: Lemma 3.5 for the textbook formula, assumed for
+    the scaled (Smith-type) algorithms both libraries use; numpy divides
+    complex by real through a rounded reciprocal.
 (H) Horner's rule of degree d at z (:func:`_point_jet`, ``np.polyval``) errs
     by at most gamma_{4d} sum_k |c_k| |z|^k, gamma_{2d} on real data: a step
     errs by gamma_4, or gamma_2, by (P); the first, 0 z + c_d, is exact (section 5.1).
@@ -555,7 +559,7 @@ def _root_discs(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Rounding, by the module's model.  The computed p(a_i) lies within
     gamma_{4d} sum_k |c_k| |a_i|^k of the exact value (H), and the
-    differences and products (P) and the quotient that form w_i add
+    differences and products (P) and the quotient (D) that form w_i add
     relative error below gamma_{4d+4}; gamma = 8(d + 1) u (C).  So
     E_i = gamma (sum_k |c_k| |a_i|^k / |c_d prod (a_i - a_j)| + |w_i|
     + |a_i - w_i|) exceeds the error of the computed w_i, and its last term

@@ -1,23 +1,18 @@
 """Canonical series and a generator for the family F.
 
 F is the family of normalized analytic functions on the unit disk whose
-curvature quotient satisfies Re(1 + z f''/f') > -1/2.  Writing
+curvature quotient satisfies Re(1 + z f''/f') > -1/2, that is
 
     1 + (2/3) z f''(z)/f'(z) = p(z)
 
-turns that condition into membership of p in the Caratheodory class
-(p(0) = 1, Re p > 0).  We represent p by a finite atomic average of Moebius
-kernels (1 + x z)/(1 - x z) with unimodular x, which gives the coefficients
-p_j = 2 * sum_k w_k x_k^j in closed form, and recover f' coefficient by
-coefficient from the recurrence obtained by matching powers of z:
-
-    c_0 = 1,   c_m = (3 / (2 m)) * sum_{j=1}^{m} p_j c_{m-j},
-
-with a_{m+1} = c_m / (m + 1).
+with p in the Caratheodory class (p(0) = 1, Re p > 0).  We take p a finite
+atomic average of Moebius kernels (1 + x z)/(1 - x z) with unimodular x, so
+p - 1 = sum_k 2 w_k x_k z/(1 - x_k z), and the equation integrates in closed
+form to f'(z) = prod_k (1 - x_k z)^(-3 w_k).
 
 Landmark members used throughout: the Koebe function z/(1-z)^2, the
 half-plane map z/(1-z), and the extremal f0(z) = (z - z^2/2)/(1-z)^2 with
-coefficients (n+1)/2, whose derivative is 1/(1-z)^3.
+coefficients (n+1)/2, whose derivative is 1/(1-z)^3: the single atom at x = 1.
 """
 
 from __future__ import annotations
@@ -35,7 +30,6 @@ __all__ = [
     "koebe",
     "half_plane",
     "f0",
-    "p_coeffs",
     "synthesize_F",
     "rotation",
     "sample_specs",
@@ -104,34 +98,25 @@ def f0(order: int) -> TruncatedSeries:
     return TruncatedSeries(c)
 
 
-def p_coeffs(spec: HerglotzSpec, order: int) -> np.ndarray:
-    """Coefficients p_0..p_order of p(z) = sum_k w_k (1 + x_k z)/(1 - x_k z).
-
-    p_0 = 1 and p_j = 2 sum_k w_k x_k^j; every |p_j| <= 2.
-    """
-    order = _integer(order, 0, "order")
-    powers = spec.points[None, :] ** np.arange(1, order + 1)[:, None]
-    p = np.empty(order + 1, dtype=np.complex128)
-    p[0] = 1.0
-    # row by row, so p_j does not depend on how many coefficients are asked for
-    p[1:] = 2.0 * (powers * spec.weights).sum(axis=1)
-    return p
-
-
 def synthesize_F(spec: HerglotzSpec, order: int = 64) -> TruncatedSeries:
     """Member of F whose curvature quotient matches the spec's p, to ``order``.
 
-    The single atom at x = 1 reproduces f0; atoms at the (order+1)-th roots of
-    unity with equal weights reproduce the identity (p = 1 up to truncation).
+    Each atom's factor (1 - x z)^(-3w) has coefficients b_m x^m, with b_0 = 1
+    and b_m = (b_{m-1} (3w + m - 1)) / m evaluated in that order, so w = 1
+    gives the integers (m + 1)(m + 2)/2; the factors' product truncated to
+    ``order`` is f', and a_{m+1} = c_m / (m + 1) divides the real and
+    imaginary parts apart (numpy divides complex by real through a rounded
+    reciprocal).  So the single atom at x = 1 is f0 bit for bit.
     """
     n = _integer(order, 1, "order")
-    p = p_coeffs(spec, n - 1)
-    c = np.zeros(n, dtype=np.complex128)
-    c[0] = 1.0
-    for m in range(1, n):
-        c[m] = 1.5 / m * np.dot(p[1 : m + 1], c[m - 1 :: -1])
-    a = np.zeros(n + 1, dtype=np.complex128)
-    a[1:] = c / np.arange(1, n + 1)
+    c = np.ones(1, dtype=np.complex128)
+    for w, x in zip(spec.weights.tolist(), spec.points.tolist()):
+        b = [1.0]
+        for m in range(1, n):
+            b.append(b[-1] * (3.0 * w + m - 1) / m)
+        c = np.convolve(c, np.array(b) * x ** np.arange(n))[:n]
+    a, k = np.zeros(n + 1, dtype=np.complex128), np.arange(1, n + 1)
+    a.real[1:], a.imag[1:] = c.real / k, c.imag / k
     return TruncatedSeries(a)
 
 

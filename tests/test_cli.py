@@ -347,6 +347,19 @@ def test_spec_file_radius_synthesizes_at_the_section_order(tmp_path, capsys, mon
     assert orders == [8, 70]
 
 
+def test_spec_file_single_atom_is_function_f0(tmp_path, capsys):
+    """The spec file's single atom at x = 1 and --function f0 print the same
+    line for section 60 on every criterion: both are f0 bit for bit."""
+    specs = tmp_path / "f0.json"
+    specs.write_text(json.dumps({"specs": [{"weights": [1.0], "points": [[1.0, 0.0]]}]}))
+    for criterion in Criterion:
+        argv = ["--section", "60", "--criterion", criterion.value]
+        assert main(["radius", "--spec-file", str(specs), *argv]) == 0
+        from_file = capsys.readouterr().out
+        assert main(["radius", "--function", "f0", *argv]) == 0
+        assert capsys.readouterr().out == from_file
+
+
 def test_sample_usage_errors():
     for flag in (["--count", "0"], ["--atom-count", "0"], ["--seed", "-1"]):
         with pytest.raises(SystemExit) as err:

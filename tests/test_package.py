@@ -50,7 +50,6 @@ _ARGUMENT_TABLE = [
     (zoo.half_plane, {"order": 3}, ["order"], []),
     (zoo.f0, {"order": 3}, ["order"], []),
     (zoo.synthesize_F, {"spec": _SPEC, "order": 5}, ["order"], []),
-    (zoo.p_coeffs, {"spec": _SPEC, "order": 3}, ["order"], []),
     (zoo.spec_from_seed, {"seed": 3, "atom_count": 2}, ["seed", "atom_count"], []),
     (
         zoo.sample_specs,
@@ -127,7 +126,7 @@ def _argument_cases():
 
 
 def test_argument_table_covers_every_checked_function():
-    assert len(_ARGUMENT_TABLE) == 20
+    assert len(_ARGUMENT_TABLE) == 19
     for fn, kwargs, *_names in _ARGUMENT_TABLE + _SCALAR_TABLE:
         fn(**kwargs)  # the unaltered arguments are accepted
 

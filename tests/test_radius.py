@@ -155,6 +155,38 @@ def test_horner_errs_within_the_rounding_model():
         assert (Fraction(value.real) - re) ** 2 + (Fraction(value.imag) - im) ** 2 <= bound**2
 
 
+def test_complex_division_errs_within_the_rounding_model():
+    """Fact (D) of ``radius``' rounding model: a complex quotient, numpy's by
+    a complex or a real divisor or CPython's, lies normwise within
+    sqrt(2) gamma_4 relative of the exact quotient of its float operands,
+    found here in rational arithmetic."""
+    u = Fraction(1, 2**53)
+    gamma = 4 * u / (1 - 4 * u)
+    rng = np.random.default_rng(28)
+
+    def draw(size, real=False):
+        moduli = 10.0 ** rng.uniform(-3.0, 3.0, size)
+        if real:
+            return moduli * rng.choice([-1.0, 1.0], size)
+        return moduli * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size))
+
+    x, y = draw(1000), draw(1000)
+    xr, t = draw(1000), draw(1000, real=True)
+    xp, yp = draw(1000).tolist(), draw(1000).tolist()
+    cases = [
+        *zip(x.tolist(), y.tolist(), (x / y).tolist()),
+        *zip(xr.tolist(), t.tolist(), (xr / t).tolist()),
+        *((a, b, a / b) for a, b in zip(xp, yp)),
+    ]
+    for a, b, q in cases:
+        b = complex(b)
+        ar, ai, br, bi = (Fraction(v) for v in (a.real, a.imag, b.real, b.imag))
+        den = br * br + bi * bi
+        re, im = (ar * br + ai * bi) / den, (ai * br - ar * bi) / den
+        err2 = (Fraction(q.real) - re) ** 2 + (Fraction(q.imag) - im) ** 2
+        assert err2 <= 2 * gamma**2 * (re * re + im * im)
+
+
 # ---------------------------------------------------------------------------
 # Boundary scans
 # ---------------------------------------------------------------------------

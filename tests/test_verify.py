@@ -376,17 +376,9 @@ def test_conjecture2_scan_matches_brute_force_sweep(monkeypatch):
     assert report.items[1].witness == (f0_value, f0_theta)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="the sweep synthesizes f0 from HerglotzSpec([1.0], [1.0]), whose "
-    "recurrence leaves the exact coefficients (n + 1)/2 from index 49 on; "
-    "taking zoo.f0 instead changes the traced zoo.synthesize_F count of "
-    "bench/run.py, so the fix waits for a change to the benchmark (ROADMAP "
-    "item 1)",
-)
 def test_sweep_measures_the_exact_f0_sections():
-    """The extremal's sections that the sweep measures are zoo.f0's, bit for bit."""
+    """The sweep synthesizes f0 as the single atom at x = 1, and the closed-form
+    product makes every section it measures zoo.f0's, bit for bit."""
     seen = []
 
     def measure(f, best):
