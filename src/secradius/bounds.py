@@ -23,7 +23,6 @@ __all__ = [
     "deriv_envelope",
     "tail_derivative_bound",
     "k_tail",
-    "cube_series_tail",
 ]
 
 
@@ -52,22 +51,3 @@ def k_tail(n: int) -> float:
     n = _integer(n, 1, "n")
     return -(2.0 * n * n + 8.0 * n + 9.0) / (8.0 * 3.0 ** (n - 1))
 
-
-def cube_series_tail(order: int, r: float) -> float:
-    """sum_{m > order} (m+1)(m+2)/2 * r^m, the cutoff error of 1/(1-z)^3.
-
-    Used as truncation slack when checking the derivative envelope against a
-    series synthesized only up to ``order``: every F-member derivative
-    coefficient obeys |c_m| <= (m+1)(m+2)/2, so the dropped terms sum to at
-    most this value.
-    """
-    order = _integer(order, 0, "order")
-    r = _radius(r, closed=True)
-    partial = 0.0
-    rm = 1.0
-    for m in range(order + 1):
-        partial += (m + 1) * (m + 2) / 2.0 * rm
-        rm *= r
-    # the difference is a true tail, hence nonnegative; clamp away the
-    # cancellation noise that appears once the tail drops below epsilon
-    return max(0.0, 1.0 / (1.0 - r) ** 3 - partial)

@@ -336,6 +336,8 @@ def _refine(jet: Callable, values: np.ndarray, r: float, mirror: bool) -> tuple[
             break
         theta += dt
     theta = best[1] % _TWO_PI
+    if theta == _TWO_PI:  # a theta just below 0 rounds up
+        theta = 0.0
     if theta > math.pi and mirror:
         theta = _TWO_PI - theta
     return best[0], theta

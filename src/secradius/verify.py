@@ -194,25 +194,12 @@ def cube_min_by_cubic() -> float:
     """Path (ii): minimize the cubic reduction over x in [-1, 1].
 
     Writing x = cos(theta) turns the r = 1/3 boundary restriction of
-    Re (1-z)^{-3} into p(x) = (9/8)^3 [2/3 + 8x/9 + 2x^2/3 + 4x^3/27]; the
-    minimum over the interval sits at x = -1 and equals 27/64.
+    Re (1-z)^{-3} into p(x) = (9/8)^3 [2/3 + 8x/9 + 2x^2/3 + 4x^3/27], whose
+    derivative (9/8)^3 (4/9)(x + 1)(x + 2) is nonnegative on the interval;
+    so the minimum sits at x = -1 and equals p(-1) = 27/64.
     """
-    scale = (9.0 / 8.0) ** 3
-
-    def p(x: float) -> float:
-        return scale * (2.0 / 3.0 + 8.0 * x / 9.0 + 2.0 * x * x / 3.0 + 4.0 * x**3 / 27.0)
-
-    # p'(x) = scale * (8/9 + 4x/3 + 4x^2/9); interior critical points by the
-    # quadratic formula, then compare against the interval endpoints.
-    a, b, c = 4.0 / 9.0, 4.0 / 3.0, 8.0 / 9.0
-    disc = b * b - 4.0 * a * c
-    candidates = [-1.0, 1.0]
-    if disc >= 0.0:
-        root = math.sqrt(disc)
-        for x in ((-b - root) / (2.0 * a), (-b + root) / (2.0 * a)):
-            if -1.0 <= x <= 1.0:
-                candidates.append(x)
-    return min(p(x) for x in candidates)
+    x = -1.0
+    return (9.0 / 8.0) ** 3 * (2.0 / 3.0 + 8.0 * x / 9.0 + 2.0 * x * x / 3.0 + 4.0 * x**3 / 27.0)
 
 
 def min_re_cube_kernel() -> VerificationItem:

@@ -98,15 +98,24 @@ def f0(order: int) -> TruncatedSeries:
     return TruncatedSeries(c)
 
 
+def _powers(x: complex, n: int) -> np.ndarray:
+    """x^0, ..., x^(n-1) as one cumulative product: the same rule at every
+    order (numpy's ``x ** k`` changes algorithm at k = 100), exact for x = +-1."""
+    p = np.full(n, x, dtype=np.complex128)
+    p[0] = 1.0
+    return p.cumprod()
+
+
 def synthesize_F(spec: HerglotzSpec, order: int = 64) -> TruncatedSeries:
     """Member of F whose curvature quotient matches the spec's p, to ``order``.
 
     Each atom's factor (1 - x z)^(-3w) has coefficients b_m x^m, with b_0 = 1
     and b_m = (b_{m-1} (3w + m - 1)) / m evaluated in that order, so w = 1
-    gives the integers (m + 1)(m + 2)/2; the factors' product truncated to
-    ``order`` is f', and a_{m+1} = c_m / (m + 1) divides the real and
-    imaginary parts apart (numpy divides complex by real through a rounded
-    reciprocal).  So the single atom at x = 1 is f0 bit for bit.
+    gives the integers (m + 1)(m + 2)/2, and x^m from :func:`_powers`; the
+    factors' product truncated to ``order`` is f', and a_{m+1} = c_m / (m + 1)
+    divides the real and imaginary parts apart (numpy divides complex by real
+    through a rounded reciprocal).  So the single atom at x = 1 is f0 bit for
+    bit, and the atom at x = -1 is ``rotation(f0, -1)``, at every order.
     """
     n = _integer(order, 1, "order")
     c = np.ones(1, dtype=np.complex128)
@@ -114,7 +123,7 @@ def synthesize_F(spec: HerglotzSpec, order: int = 64) -> TruncatedSeries:
         b = [1.0]
         for m in range(1, n):
             b.append(b[-1] * (3.0 * w + m - 1) / m)
-        c = np.convolve(c, np.array(b) * x ** np.arange(n))[:n]
+        c = np.convolve(c, np.array(b) * _powers(x, n))[:n]
     a, k = np.zeros(n + 1, dtype=np.complex128), np.arange(1, n + 1)
     a.real[1:], a.imag[1:] = c.real / k, c.imag / k
     return TruncatedSeries(a)
@@ -125,7 +134,7 @@ def rotation(f: TruncatedSeries, mu: complex) -> TruncatedSeries:
     mu = complex(_numbers(mu, np.complex128, "mu", scalar=True))
     if abs(abs(mu) - 1.0) > _UNIT_TOL:
         raise ValidationError(f"rotation factor must be unimodular, got |mu|={abs(mu)!r}")
-    factors = np.conj(mu) * mu ** np.arange(f.order + 1)
+    factors = np.conj(mu) * _powers(mu, f.order + 1)
     return TruncatedSeries(factors * f.coeffs)
 
 

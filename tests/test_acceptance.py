@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from secradius.bounds import cube_series_tail, k_tail, tail_derivative_bound
+from secradius.bounds import k_tail, tail_derivative_bound
 from secradius.cli import main as cli_main
 from secradius.radius import (
     Criterion,
@@ -178,7 +178,7 @@ def test_criterion_09_growth_and_tail_bounds(capfd, members):
         for r in radii:
             # truncation slack plus a rounding allowance: f0 attains the
             # envelope exactly, so zero-slack comparisons flip on noise
-            eps = 2.0 * cube_series_tail(len(fp) - 1, r) + 1e-12
+            eps = 2.0 * tail_derivative_bound(len(fp), r) + 1e-12
             mags = np.abs(np.polynomial.polynomial.polyval(r * units, fp))
             if not (
                 np.all(mags >= (1.0 + r) ** -3 - eps)

@@ -7,7 +7,6 @@ import pytest
 
 from secradius.bounds import (
     coeff_bound,
-    cube_series_tail,
     deriv_envelope,
     k_tail,
     tail_derivative_bound,
@@ -71,7 +70,7 @@ def test_envelope_sharp_for_extremal_derivative():
     """f0' is the cube kernel, which attains both envelope ends on the axis."""
     fp = np.arange(1, 121) * f0(120).coeffs[1:]
     for r in (0.2, 1.0 / 3.0, 0.6):
-        slack = cube_series_tail(len(fp) - 1, r)
+        slack = tail_derivative_bound(len(fp), r)
         lo, hi = deriv_envelope(r)
         up = abs(np.polynomial.polynomial.polyval(r, fp))
         dn = abs(np.polynomial.polynomial.polyval(-r, fp))
@@ -107,7 +106,7 @@ def test_tail_bound_at_one_third_is_minus_k_tail():
 
 
 def test_tail_bound_decreases_in_n_for_small_radii():
-    for r in (0.2, 1.0 / 3.0):
+    for r in (0.2, 1.0 / 3.0, 0.6):
         vals = [tail_derivative_bound(n, r) for n in range(2, 21)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
@@ -165,34 +164,20 @@ def test_k_tail_domain():
 
 
 # ---------------------------------------------------------------------------
-# Cube-series truncation slack
+# The cube series' tail past an order is the tail bound one section on
 # ---------------------------------------------------------------------------
-
-
-def test_cube_series_tail_zero_radius():
-    assert cube_series_tail(10, 0.0) == 0.0
 
 
 def test_cube_series_tail_order_zero():
     r = 0.5
-    assert abs(cube_series_tail(0, r) - (1.0 / (1.0 - r) ** 3 - 1.0)) < 1e-14
+    assert abs(tail_derivative_bound(1, r) - (1.0 / (1.0 - r) ** 3 - 1.0)) < 1e-14
 
 
 def test_cube_series_tail_brute_force():
+    """sum_{m > order} (m+1)(m+2)/2 r^m, the cutoff error of 1/(1-z)^3, is
+    tail_derivative_bound(order + 1, r)."""
     for order in (3, 16, 63):
         for r in (0.3, 0.5, 0.8):
             m = np.arange(order + 1, 4000)
             brute = float(np.sum((m + 1.0) * (m + 2.0) / 2.0 * r**m))
-            assert abs(cube_series_tail(order, r) - brute) < 1e-9
-
-
-def test_cube_series_tail_monotone_in_order():
-    vals = [cube_series_tail(k, 0.6) for k in range(0, 30, 3)]
-    assert all(b < a for a, b in zip(vals, vals[1:]))
-
-
-def test_cube_series_tail_domain():
-    with pytest.raises(ValidationError):
-        cube_series_tail(-1, 0.5)
-    with pytest.raises(ValidationError):
-        cube_series_tail(3, 1.0)
+            assert abs(tail_derivative_bound(order + 1, r) - brute) < 1e-9

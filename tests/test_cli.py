@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface (run in process)."""
 
 import json
+import math
 import re
 from datetime import datetime
 from pathlib import Path
@@ -358,6 +359,18 @@ def test_spec_file_single_atom_is_function_f0(tmp_path, capsys):
         from_file = capsys.readouterr().out
         assert main(["radius", "--function", "f0", *argv]) == 0
         assert capsys.readouterr().out == from_file
+
+
+def test_spec_file_atom_at_minus_one_stays_real_past_order_99(tmp_path, capsys):
+    """The atom at -1 synthesizes real coefficients at section 120, so the
+    real-coefficient mirror rule puts every witness angle in [0, pi]."""
+    specs = tmp_path / "minus_one.json"
+    specs.write_text(json.dumps({"specs": [{"weights": [1.0], "points": [[-1.0, 0.0]]}]}))
+    for criterion in ("re-deriv", "convex", "starlike"):
+        argv = ["radius", "--spec-file", str(specs), "--section", "120", "--criterion", criterion]
+        assert main(argv) == 0
+        theta = json.loads(capsys.readouterr().out)["witness_theta"]
+        assert 0.0 <= theta <= math.pi, (criterion, theta)
 
 
 def test_sample_usage_errors():

@@ -216,6 +216,19 @@ def test_boundary_min_theta_is_wrapped():
     for r in (0.17, 0.42):
         scan = boundary_min(koebe(5), Criterion.STARLIKENESS, r)
         assert 0.0 <= scan.argmin_theta < 2.0 * math.pi
+    # a complex section whose refined minimum lies a hair below theta = 0,
+    # where no mirror rule applies: the wrap gives 0.0, not 2 pi
+    s = TruncatedSeries([
+        0, 1.0,
+        -0.3202816795518006 + 0.004382021351127992j,
+        -0.11088541404053225 - 0.20697796779042438j,
+        0.2302048277410414 - 0.0818987632411556j,
+        -0.46005978783030055 + 0.3431464601569935j,
+    ])
+    for grid in (64, 2048):
+        scan = boundary_min(s, Criterion.RE_DERIV, 0.5, grid)
+        assert scan.argmin_theta == 0.0
+        assert abs(scan.min_value - 0.567887990091352) < 1e-12
 
 
 def test_boundary_min_refines_below_coarse_grid():
