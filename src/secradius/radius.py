@@ -32,8 +32,10 @@ narrower than a grid cell, away from the grid argmin, can go unseen.
 changes sign, inside [0, rho): rho is a certified lower bound on the root
 moduli of the denominator (the *guard*), so no pole enters the disc and a
 positive boundary minimum proves the criterion.  There the minimum is
-non-increasing in r, and a safeguarded regula falsi on the scans alone
-finds the radius.  rho is first a root-free bound, from three Graeffe
+non-increasing in r: Newton on (r, theta) at the field's minimum, on point
+evaluations whose r-derivatives come free, finds the radius, a scan just
+below confirms it, and a safeguarded regula falsi on the scans closes what
+Newton leaves open.  rho is first a root-free bound, from three Graeffe
 squarings and Cauchy's bound (:func:`_graeffe_bound`); only a search that
 reaches it finds the roots, and then rho is the larger of it and the least
 modulus on Gerschgorin discs around the ``np.roots`` approximations
@@ -144,10 +146,12 @@ class RadiusResult:
     ``witness`` is the boundary scan of the probe that certified the radius
     (None when even tiny discs fail, when nothing bounds the guard's zeros
     away from 0, and for local univalence, which probes nothing).
+    At most ``tol`` above ``radius`` lies the guard bound, the cap, a failing
+    probe or a point of a circle where the computed field is <= 0.
     ``iterations`` counts boundary-scan probes: at most
-    ceil(log2(max(width, tol) / tol)) + 4 for each of the one or two bracket
+    ceil(log2(max(width, tol) / tol)) + 12 for each of the one or two
     searches of :func:`criterion_radius`, each over a bracket of that width,
-    plus one probe of the cap when a search reaches it.
+    a probe of the cap and the search from its failure included.
     """
 
     radius: float
@@ -219,18 +223,21 @@ def _field_parts(s: TruncatedSeries, criterion: Criterion) -> tuple[np.ndarray, 
 
 def _re_theta_jet(
     z: complex, h: complex, h1: complex, h2: complex
-) -> tuple[float, float, float]:
-    """Re h and its first two theta-derivatives at z = r e^{i theta}, from h1 = h'(z)
-    and h2 = h''(z): d/dtheta h = i z h' and d^2/dtheta^2 h = -z h' - z^2 h''."""
+) -> tuple[float, float, float, float, float]:
+    """Re h, its first two theta-derivatives, and r d/dr and r d^2/dr dtheta of Re h at
+    z = r e^{i theta}, from h1 = h'(z) and h2 = h''(z): with w = z h' + z^2 h'',
+    d/dtheta h = i z h', d^2/dtheta^2 h = -w, r d/dr h = z h' and r d/dr (i z h') = i w."""
     zh1 = z * h1
-    return h.real, -zh1.imag, -(zh1 + z * z * h2).real
+    w = zh1 + z * z * h2
+    return h.real, -zh1.imag, -w.real, zh1.real, -w.imag
 
 
-def _point_jet(parts: tuple) -> Callable[[complex], tuple[float, float, float]]:
-    """Closure giving (phi, phi', phi'') at a point for :func:`_field_parts` output.
+def _point_jet(parts: tuple) -> Callable[[complex], tuple[float, ...]]:
+    """Closure giving (phi, phi', phi'', r phi_r, r phi_r') at a point for
+    :func:`_field_parts` output.
 
-    phi = Re(num/den) is the field and the primes are theta-derivatives
-    along the circle through the point.  One plain-Python Horner pass from
+    phi = Re(num/den) is the field, the primes are theta-derivatives along
+    the circle through the point and phi_r is d/dr.  One plain-Python Horner pass from
     the highest power gives the numerator's and denominator's values and
     first two derivatives in one loop (the shorter padded with zeros); for
     the short polynomials here this beats numpy arrays point by point.
@@ -238,7 +245,7 @@ def _point_jet(parts: tuple) -> Callable[[complex], tuple[float, float, float]]:
     """
     pairs = list(zip_longest(parts[0].tolist(), parts[1].tolist(), fillvalue=0j))[::-1]
 
-    def quotient(z: complex) -> tuple[float, float, float]:
+    def quotient(z: complex) -> tuple[float, ...]:
         n = n1 = n2 = d = d1 = d2 = 0j
         for a, b in pairs:
             n2 = n2 * z + n1
@@ -323,7 +330,7 @@ def _refine(jet: Callable, values: np.ndarray, r: float, mirror: bool) -> tuple[
     if curve > 0.0:
         theta += 0.5 * step * (left - right) / curve
     while True:
-        value, d1, d2 = jet(cmath.rect(r, theta))
+        value, d1, d2, _, _ = jet(cmath.rect(r, theta))
         best = min(best, (value, theta))
         if d1 > 0.0:
             hi = theta
@@ -399,15 +406,15 @@ def criterion_radius(
     has no zeros inside the disc.  On [0, rho), with ``rho`` a certified
     lower bound on the guard's root moduli, the field is harmonic on the
     disc and m is non-increasing.  The field is prepared once
-    (:func:`_field_scan`), and :func:`_bracket_root` probes it on
-    [0, min(rho, cap)], whose top end fails unprobed: the field at a guard
-    zero can look positive, and the cap is probed last.  ``rho`` is first
-    the root-free :func:`_graeffe_bound`.  Only when the search ends within
-    ``tol`` of it, no probe having failed, does :func:`_guard_bound` find
-    the roots; both bounds are certified, so a second search goes on from
-    the passing end up to the larger.  So at most two searches run, and a
-    cap below ``rho`` that a search reaches is probed once, at the end;
-    passing there clamps.  No probed circle meets a pole.  Bounds of 0
+    (:func:`_field_scan`, :func:`_point_jet`), and :func:`_search` finds the
+    root on [0, min(rho, cap)], whose top end fails unprobed: the field at a
+    guard zero can look positive.  ``rho`` is first the root-free
+    :func:`_graeffe_bound`.  Only when a search reaches it, no probe having
+    failed, does :func:`_guard_bound` find the roots; both bounds are
+    certified, so a second search goes on from the passing end up to the
+    larger, and bisects up to it if it reaches it too.  A cap below ``rho``
+    that a search reaches is probed once: passing there clamps, and a search
+    goes on from a failure.  No evaluated point meets a pole.  Bounds of 0
     leave the empty bracket [0, 0]: radius 0.0, no witness, no probe.
 
     Local univalence asks only that the guard s' be zero-free, which is what
@@ -435,19 +442,25 @@ def criterion_radius(
     guard = parts[1]
     rho = _graeffe_bound(guard)
     scan = _field_scan(parts, grid_size)
+    jet = _point_jet(parts)
     top = min(rho, RADIUS_CAP)
-    r, hi, found, probes = _bracket_root(scan, 0.0, None, top, tol)
+    r, hi, found, probes = _search(scan, jet, 0.0, None, top, tol)
     if hi == top and rho <= RADIUS_CAP:
         # the search reached the root-free bound: the tight discs may lift it
         rho = max(rho, _guard_bound(guard))
-        r, hi, found, more = _bracket_root(scan, r, found, min(rho, RADIUS_CAP), tol)
+        top = min(rho, RADIUS_CAP)
+        r, hi, found, more = _search(scan, jet, r, found, top, tol)
         probes += more
-    if hi == RADIUS_CAP < rho:
-        value, theta = scan(RADIUS_CAP)
+    if hi == top < rho:
+        fail = scan(RADIUS_CAP)
         probes += 1
-        if value > 0.0:
-            cap = BoundaryScan(RADIUS_CAP, value, theta)
-            return RadiusResult(1.0, cap, probes)
+        if fail[0] > 0.0:
+            return RadiusResult(1.0, BoundaryScan(RADIUS_CAP, *fail), probes)
+        r, hi, found, more = _search(scan, jet, r, found, top, tol, fail)
+        probes += more
+    elif hi == top:  # a search that stopped short of the discs' bound bisects up to it
+        r, hi, found, more = _bracket_root(scan, r, found, top, tol)
+        probes += more
     witness = None if found is None else BoundaryScan(r, *found)
     return RadiusResult(r, witness, probes)
 
@@ -588,22 +601,113 @@ def _root_discs(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return low, high
 
 
+def _search(
+    scan: Callable[[float], tuple[float, float]],
+    jet: Callable,
+    lo: float,
+    data: tuple | None,
+    hi: float,
+    tol: float,
+    fail: tuple | None = None,
+) -> tuple[float, float, tuple | None, int]:
+    """Largest passing radius in [lo, hi] to within ``tol``, by Newton on (r, theta).
+
+    ``scan`` and ``jet`` are the field's :func:`_field_scan` and :func:`_point_jet`;
+    the rest is as in :func:`_bracket_root`, but ``hi`` fails with the probe
+    (value, theta) ``fail`` if given; else the midpoint is probed first.  From a
+    passing probe (r, theta*, m) the step is the Danskin tangent r - m r / (r d/dr
+    phi) at theta*, capped at hi - (hi - r)/8, and a jet value <= 0 there fails it
+    unprobed.  A tangent at or past ``hi`` (or a slope that is not negative)
+    returns with ``hi`` unchanged if ``hi`` is the cap or four tangents are spent.
+    From a failing point :func:`_newton` finds the root; a probe 0.45 ``tol`` below
+    it passes, or fails and restarts Newton from its argmin (three rounds at most),
+    and a jet value <= 0 0.45 ``tol`` above it becomes ``hi``.  At most 8 probes
+    precede :func:`_bracket_root`, which closes what is left.
+    """
+    if hi - lo <= tol:
+        return lo, hi, data, 0
+    probes = 0
+    start = None if fail is None else (hi, fail[1])
+    x = 0.5 * (lo + hi)
+    for tangents in range(5 if fail is None else 0):
+        found = scan(x)
+        probes += 1
+        if not found[0] > 0.0:
+            hi, start = x, (x, found[1])
+            break
+        lo, data = x, found
+        slope = jet(cmath.rect(x, found[1]))[3]
+        step = x - x * found[0] / slope if slope < 0.0 else math.inf
+        if step >= hi and (hi == RADIUS_CAP or tangents == 4):
+            return lo, hi, data, probes
+        if tangents == 4:
+            break
+        x = min(step, hi - (hi - x) / 8.0)
+        if not jet(cmath.rect(x, found[1]))[0] > 0.0:
+            hi, start = x, (x, found[1])
+            break
+    for _ in range(0 if start is None else 3):
+        hi, root = _newton(jet, *start, lo, hi, tol)
+        if root is None:
+            break
+        x = root[0] - 0.45 * tol
+        if lo < x < hi:
+            found = scan(x)
+            probes += 1
+            if not found[0] > 0.0:
+                hi, start = x, (x, found[1])
+                continue
+            lo, data = x, found
+        x = root[0] + 0.45 * tol
+        if lo < x < hi and not jet(cmath.rect(x, root[1]))[0] > 0.0:
+            hi = x
+        break
+    lo, hi, data, more = _bracket_root(scan, lo, data, hi, tol)
+    return lo, hi, data, probes + more
+
+
+def _newton(
+    jet: Callable, r: float, theta: float, lo: float, hi: float, tol: float
+) -> tuple[float, tuple[float, float] | None]:
+    """(hi, root): Newton on (phi, d/dtheta phi) = 0 in (r, theta), where the field's
+    minimum on |z| = r touches 0.  With a = r d/dr phi and b = r d^2/dr dtheta phi,
+    the Jacobian's determinant is (a phi'' - b phi') / r, negative at a minimum that
+    falls as r grows.  The root is the (r, theta) after a step |dr| <= 10 ``tol``,
+    and None when the determinant is not negative, a step leaves (lo, hi) or 16 steps
+    pass.  Each point where the field is <= 0 lowers ``hi``."""
+    for _ in range(16):
+        value, d1, d2, a, b = jet(cmath.rect(r, theta))
+        if not value > 0.0:
+            hi = r
+        det = a * d2 - b * d1
+        if not det < 0.0:
+            break
+        dr = r * (d1 * d1 - value * d2) / det
+        theta += (b * value - a * d1) / det
+        r += dr
+        if abs(dr) <= 10.0 * tol:
+            return hi, (r, theta)
+        if not lo < r < hi:
+            break
+    return hi, None
+
+
 def _bracket_root(
     probe: Callable[[float], tuple], lo: float, data: tuple | None, hi: float, tol: float
 ) -> tuple[float, float, tuple | None, int]:
-    """Largest passing radius in [lo, hi] to within ``tol``.
+    """Largest passing radius in [lo, hi] to within ``tol``: :func:`_search`'s finisher.
 
     ``probe(r)`` returns a tuple (f, ...) and r passes when f > 0.  ``lo``
     passes with the probe tuple ``data``, or with f = 1 when ``data`` is None
     (lo = 0, where f is c_1 of a normalized series).  ``hi`` fails and has
-    no value: it is a guard bound, never probed, or the cap, probed last.
+    no value here: a guard bound, the cap, or a point that failed.
     Steps are Anderson-Bjorck regula falsi: the secant root of the bracket's
     values, where an end kept twice in a row has its value scaled down so
     that both ends close in.  A step bisects instead until a probe fails,
     so the failing end has a value (m falls steeply near a guard zero, so
     a secant through f(0) = 1 would land near 0), and whenever a secant step
     that fails to shrink the bracket would leave too few probes to finish
-    by bisection; so a search never takes more than
+    by bisection; so it never takes more than
     ceil(log2(max(hi - lo, tol) / tol)) + 4 probes, and none when
     hi - lo <= tol.  Stops when hi - lo <= tol and returns (lo, hi, the
     tuple of the probe at lo or ``data``, probes made); ``hi`` is returned

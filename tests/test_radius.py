@@ -26,7 +26,7 @@ from secradius.radius import (
     golden_section_min,
 )
 from secradius.series import TruncatedSeries, section
-from secradius.zoo import f0, koebe, rotation, sample_specs, synthesize_F
+from secradius.zoo import f0, half_plane, koebe, rotation, sample_specs, spec_from_seed, synthesize_F
 
 try:
     from hypothesis import assume, example, given, settings
@@ -340,6 +340,25 @@ def test_point_jet_derivatives_match_differences(criterion):
         vals = _field_scan(parts, grid).field(r)
         scale = max(1.0, float(np.max(np.abs(vals))))
         assert np.max(np.abs(jets[:, 0] - vals)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("criterion", FIELD_CRITERIA)
+def test_point_jet_r_derivatives_match_differences(criterion):
+    """The jet's last two entries are r d/dr phi and r d^2/dr dtheta phi: central
+    differences of phi and phi' between the radii r (1 - h) and r (1 + h), over
+    2h.  They err by about h^2 times a third derivative and eps |phi| / h, below
+    1e-8 of the scale with h = 1e-5; a wrong chain-rule term errs by order 1."""
+    h = 1e-5
+    for s, r, grid in _grid_cases():
+        jet = _point_jet(_field_parts(s, criterion))
+        thetas = 2.0 * math.pi * np.arange(grid) / grid
+        jets = np.array([jet(cmath.rect(r, t)) for t in thetas])
+        plus = np.array([jet(cmath.rect(r * (1.0 + h), t))[:2] for t in thetas])
+        minus = np.array([jet(cmath.rect(r * (1.0 - h), t))[:2] for t in thetas])
+        diff = (plus - minus) / (2.0 * h)
+        for i in (3, 4):
+            scale = max(1.0, float(np.max(np.abs(jets[:, i]))))
+            assert np.max(np.abs(diff[:, i - 3] - jets[:, i])) <= 1e-5 * scale
 
 
 def _separate_field(parts, r, grid, z):
@@ -715,13 +734,15 @@ def test_local_univalence_radius_is_the_guard_bound(monkeypatch):
 
 
 def test_radius_probes_stay_below_the_guard_bound(monkeypatch):
-    """Every circle a field criterion's solve scans lies strictly inside the
-    guard bound that the solve used and at most at the cap, so no probe
-    meets a pole.  That bound is the root-free one, or the larger of it and
-    the discs' when the search reached it."""
+    """Every circle a field criterion's solve scans, and every point where it
+    evaluates the jet, lies strictly inside the guard bound that the solve
+    used and at most at the cap, so nothing it evaluates meets a pole.  That
+    bound is the root-free one, or the larger of it and the discs' when the
+    search reached it."""
     probed = []
     discs = []
     build = radius_module._field_scan
+    build_jet = radius_module._point_jet
     guard_bound = radius_module._guard_bound
 
     def recording_bound(coeffs):
@@ -737,7 +758,17 @@ def test_radius_probes_stay_below_the_guard_bound(monkeypatch):
 
         return recording
 
+    def recording_jet(parts):
+        jet = build_jet(parts)
+
+        def recording(z):
+            probed.append(abs(z) * (1.0 - 2.0**-50))  # |cmath.rect(r, theta)| rounds near r
+            return jet(z)
+
+        return recording
+
     monkeypatch.setattr(radius_module, "_field_scan", recording_build)
+    monkeypatch.setattr(radius_module, "_point_jet", recording_jet)
     monkeypatch.setattr(radius_module, "_guard_bound", recording_bound)
     for s in _sampled_sections() + [f0(n) for n in range(2, 31)]:
         for criterion in FIELD_CRITERIA:
@@ -762,21 +793,31 @@ def test_radius_witness_is_the_boundary_scan_at_its_radius(grid):
             assert witness == boundary_min(s, criterion, witness.r, grid)
 
 
-@pytest.mark.xfail(
+_MISSED_DIP = pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
     reason="a negative arc narrower than a grid cell, away from the grid "
     "argmin, goes unseen and the radius errs large; see the FOUND line on "
     "radius._circle_min (now radius._field_scan) in CHANGES.md",
 )
-@pytest.mark.parametrize("index, n", [(38, 29), (36, 16)])
+
+
+@pytest.mark.parametrize(
+    "index, n",
+    [(0, 21), (5, 28), (6, 12), (6, 15), (12, 19), (17, 21), (23, 20), (31, 24)]
+    + [(33, 17), (38, 15), (42, 18), (42, 25), (45, 14), (47, 24)]
+    + [pytest.param(*case, marks=_MISSED_DIP) for case in [(38, 29), (36, 16), (6, 26)]],
+)
 def test_starlike_radius_errs_small_when_the_grid_misses_a_narrow_dip(index, n):
     """Re(z s'/s), evaluated directly on 2^16 angles, is positive at the radius.
 
-    The two sections come from the seed-1 conjecture2 sample at grid 512.
-    Their starlikeness fields dip below 0 at the reported radius (about
-    0.8321 and 0.7709) on arcs of 0.010-0.011 rad, narrower than the
-    0.0123-rad grid cell and away from the grid argmin: the scan misses them.
+    The sections come from the seed-1 conjecture2 sample at grid 512, where
+    a bisection on grid scans alone erred large on the first 14: their fields
+    dip below 0 on arcs narrower than the 0.0123-rad grid cell, away from the
+    grid argmin, so the scans missed them, and Newton on (r, theta) at a
+    failing point follows such a dip to its root.  The last three still err
+    large, their fields negative at the reported radius (about 0.8321, 0.7709
+    and 0.8127) on arcs of about 0.01 rad that no probe's grid resolves.
     """
     spec = sample_specs(50, 3, rng_seed=1)[index]
     s = section(synthesize_F(spec, order=30), n)
@@ -825,6 +866,121 @@ def test_radius_guard_bound_path_survives_misplaced_rho(monkeypatch, count_zeros
     loc = criterion_radius(S2, Criterion.LOCAL_UNIVALENCE)
     assert 1.0 / 3.0 - tol <= loc.radius < 1.0 / 3.0
     assert count_zeros_radii == []
+
+
+def _solve_and_failing_radii(s, criterion, tol, grid):
+    """(result, radii): a solve and the radius of every point where it found the
+    field <= 0, by a probe or by a jet evaluation."""
+    failing = []
+    build, build_jet = radius_module._field_scan, radius_module._point_jet
+
+    def recording_build(parts, grid):
+        scan = build(parts, grid)
+
+        def probe(r):
+            found = scan(r)
+            if not found[0] > 0.0:
+                failing.append(r)
+            return found
+
+        return probe
+
+    def recording_jet(parts):
+        jet = build_jet(parts)
+
+        def point(z):
+            out = jet(z)
+            if not out[0] > 0.0:
+                failing.append(abs(z))
+            return out
+
+        return point
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(radius_module, "_field_scan", recording_build)
+        mp.setattr(radius_module, "_point_jet", recording_jet)
+        res = criterion_radius(s, criterion, tol, grid)
+    return res, failing
+
+
+def _assert_search_invariants(s, criterion, tol, grid):
+    """The probes stay within RadiusResult's bound, the radius passes boundary_min
+    at the solve's grid, no point the solve found failing lies below it, and one
+    lies at most tol above it, unless the solve clamps or its bracket ends at a
+    bound; |cmath.rect(r, theta)| rounds within a few ulps of r."""
+    res, failing = _solve_and_failing_radii(s, criterion, tol, grid)
+    assert res.iterations <= 2 * (math.ceil(math.log2(1.0 / tol)) + 12)  # two searches at most
+    if res.clamped:
+        assert res.witness.min_value > 0.0
+        return
+    assert boundary_min(s, criterion, res.radius, grid).min_value > 0.0
+    assert all(r > res.radius * (1.0 - 2.0**-50) for r in failing)
+    den = _field_parts(s, criterion)[1]
+    rho = max(_graeffe_bound(den), _guard_bound(den))
+    assert min(failing, default=rho) <= res.radius + tol * (1.0 + 1e-6)
+
+
+def test_radius_search_invariants_on_the_seed1_conjecture2_sections():
+    """Every starlike solve of the seed-1 conjecture2 sample (f0 and 50 specs,
+    n = 2..30, grid 512, tol 1e-7) keeps the search's invariants."""
+    members = [f0(30)] + [synthesize_F(spec, order=30) for spec in sample_specs(50, 3, 1)]
+    for f in members:
+        for n in range(2, 31):
+            _assert_search_invariants(section(f, n), Criterion.STARLIKENESS, 1e-7, 512)
+
+
+if HAS_HYPOTHESIS:
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 6),
+        st.integers(2, 30),
+        st.sampled_from(FIELD_CRITERIA),
+        st.sampled_from([1e-12, 1e-9, 1e-7, 1e-3]),
+        st.sampled_from([64, 512, 2048]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_radius_search_invariants_on_sampled_members(seed, atom_count, n, criterion, tol, grid):
+        f = synthesize_F(spec_from_seed(seed, atom_count), order=n)
+        _assert_search_invariants(section(f, n), criterion, tol, grid)
+
+
+def test_radius_without_newton_is_the_bracket_only_radius(monkeypatch):
+    """A Newton that always gives up leaves every bracket to _bracket_root; the
+    radius is then within tol of a solve that never leaves _bracket_root (the
+    search before Newton), and so is the radius with Newton."""
+    tol = 1e-9
+    sections = _sampled_sections() + [f0(n) for n in range(2, 31)]
+    sections += [koebe(n) for n in (5, 12, 40)]
+
+    def radii():
+        return np.array([criterion_radius(s, c, tol).radius for s in sections for c in FIELD_CRITERIA])
+
+    with_newton = radii()
+    monkeypatch.setattr(radius_module, "_newton", lambda jet, r, theta, lo, hi, tol: (hi, None))
+    without_newton = radii()
+
+    def bracket_only(scan, jet, lo, data, hi, tol, fail=None):
+        return radius_module._bracket_root(scan, lo, data, hi, tol)
+
+    monkeypatch.setattr(radius_module, "_search", bracket_only)
+    reference = radii()
+    assert np.max(np.abs(without_newton - reference)) <= tol
+    assert np.max(np.abs(with_newton - reference)) <= tol
+
+
+def test_radius_search_whose_top_never_fails_probes_the_cap_early():
+    """A tangent from a passing probe that lands past the cap sends the search
+    to the cap at once: the seed-1 conjecture2 sections that clamp, and the
+    identity as half_plane(1), take at most 3 probes (25 and 31 when the
+    search bisected up to the cap)."""
+    specs = sample_specs(50, 3, 1)
+    for index, n in [(8, 2), (16, 2), (19, 2), (21, 2), (26, 4), (30, 2), (39, 2), (44, 2)]:
+        s = section(synthesize_F(specs[index], order=30), n)
+        res = criterion_radius(s, Criterion.STARLIKENESS, 1e-7, 512)
+        assert res.clamped and res.iterations <= 3
+    res = criterion_radius(half_plane(1), Criterion.RE_DERIV)
+    assert res.clamped and res.iterations <= 3
 
 
 def test_radius_coincident_root_approximations_give_zero(monkeypatch):
@@ -878,6 +1034,22 @@ def test_radius_falls_back_to_the_discs_when_the_search_reaches_the_cheap_bound(
         assert expected - tol <= res.radius <= expected + 1e-15
         assert abs(res.radius - discs_only) <= tol
         assert res.witness is not None and res.witness.min_value > 0.0
+        # four capped tangents end the first search, not a bisection up to the bound
+        assert res.iterations <= 8
+
+
+def test_radius_search_that_reaches_the_discs_bound_ends_within_tol_of_it(monkeypatch):
+    """A discs' bound of 0.68 below the starlike radius 0.684 of z (1 + (z/0.9)^8)
+    fails unprobed: after the lift every probe passes, and the second search ends
+    within tol below that bound, with its four tangents spent or by bisection."""
+    tol = 1e-9  # the default
+    c = np.zeros(10)
+    c[1], c[9] = 1.0, 0.9**-8
+    assert _graeffe_bound(c[1:]) < 0.68
+    monkeypatch.setattr(radius_module, "_guard_bound", lambda coeffs: 0.68)
+    res = criterion_radius(TruncatedSeries(c), Criterion.STARLIKENESS)
+    assert 0.68 - tol <= res.radius < 0.68
+    assert res.witness is not None and res.witness.r == res.radius
 
 
 def test_radius_solves_make_no_root_finder_call_on_known_sections(monkeypatch):
