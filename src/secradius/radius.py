@@ -34,11 +34,11 @@ moduli of the denominator (the *guard*), so no pole enters the disc and a
 positive boundary minimum proves the criterion.  There the minimum is
 non-increasing in r: Newton on (r, theta) at the field's minimum, on point
 evaluations whose r-derivatives come free, finds the radius, a scan just
-below confirms it, and a safeguarded regula falsi on the scans closes what
-Newton leaves open.  rho is first a root-free bound, from three Graeffe
-squarings and Cauchy's bound (:func:`_graeffe_bound`); only a search that
-reaches it finds the roots, and then rho is the larger of it and the least
-modulus on Gerschgorin discs around the ``np.roots`` approximations
+below confirms it, and bisection on the scans closes what Newton leaves
+open.  rho is first a root-free bound, from three Graeffe squarings and
+Cauchy's bound (:func:`_graeffe_bound`); only a search that reaches it
+finds the roots, and then rho is the larger of it and the least modulus on
+Gerschgorin discs around the ``np.roots`` approximations
 (:func:`_root_discs`).  :func:`count_zeros` counts the zeros inside a
 circle on those discs, exactly unless a disc meets the circle.  Both that
 and a field denominator vanishing at a scanned point raise
@@ -149,9 +149,11 @@ class RadiusResult:
     At most ``tol`` above ``radius`` lies the guard bound, the cap, a failing
     probe or a point of a circle where the computed field is <= 0.
     ``iterations`` counts boundary-scan probes: at most
-    ceil(log2(max(width, tol) / tol)) + 12 for each of the one or two
-    searches of :func:`criterion_radius`, each over a bracket of that width,
-    a probe of the cap and the search from its failure included.
+    ceil(log2(max(width, tol) / tol)) + 9 for each of the one or two
+    searches of :func:`criterion_radius`, each over a bracket of that width.
+    A search makes at most 5 tangent probes, 3 Newton probes and that many
+    bisections; one that stops at its top after its tangents alone is
+    searched again with no tangent, after at most one probe of the cap.
     """
 
     radius: float
@@ -412,10 +414,12 @@ def criterion_radius(
     :func:`_graeffe_bound`.  Only when a search reaches it, no probe having
     failed, does :func:`_guard_bound` find the roots; both bounds are
     certified, so a second search goes on from the passing end up to the
-    larger, and bisects up to it if it reaches it too.  A cap below ``rho``
-    that a search reaches is probed once: passing there clamps, and a search
-    goes on from a failure.  No evaluated point meets a pole.  Bounds of 0
-    leave the empty bracket [0, 0]: radius 0.0, no witness, no probe.
+    larger.  A search that stops at its unprobed top is searched again from
+    a Newton start.  A cap below ``rho`` is probed once: passing there
+    clamps, and the start is its failure.  Below a bound the start is the
+    last passing probe, from which Newton's steps stay below the bound and
+    bisection closes the bracket.  No evaluated point meets a pole.  Bounds
+    of 0 leave the empty bracket [0, 0]: radius 0.0, no witness, no probe.
 
     Local univalence asks only that the guard s' be zero-free, which is what
     the discs' bound :func:`_guard_bound` certifies: its radius is that
@@ -451,15 +455,15 @@ def criterion_radius(
         top = min(rho, RADIUS_CAP)
         r, hi, found, more = _search(scan, jet, r, found, top, tol)
         probes += more
-    if hi == top < rho:
-        fail = scan(RADIUS_CAP)
-        probes += 1
-        if fail[0] > 0.0:
-            return RadiusResult(1.0, BoundaryScan(RADIUS_CAP, *fail), probes)
-        r, hi, found, more = _search(scan, jet, r, found, top, tol, fail)
-        probes += more
-    elif hi == top:  # a search that stopped short of the discs' bound bisects up to it
-        r, hi, found, more = _bracket_root(scan, r, found, top, tol)
+    if hi == top:  # the search stopped at its unprobed top: search again from a start below it
+        start = (r, found[1]) if found else None
+        if top < rho:
+            fail = scan(RADIUS_CAP)
+            probes += 1
+            if fail[0] > 0.0:
+                return RadiusResult(1.0, BoundaryScan(RADIUS_CAP, *fail), probes)
+            start = (RADIUS_CAP, fail[1])
+        r, hi, found, more = _search(scan, jet, r, found, top, tol, start)
         probes += more
     witness = None if found is None else BoundaryScan(r, *found)
     return RadiusResult(r, witness, probes)
@@ -608,28 +612,32 @@ def _search(
     data: tuple | None,
     hi: float,
     tol: float,
-    fail: tuple | None = None,
+    start: tuple[float, float] | None = None,
 ) -> tuple[float, float, tuple | None, int]:
     """Largest passing radius in [lo, hi] to within ``tol``, by Newton on (r, theta).
 
     ``scan`` and ``jet`` are the field's :func:`_field_scan` and :func:`_point_jet`;
-    the rest is as in :func:`_bracket_root`, but ``hi`` fails with the probe
-    (value, theta) ``fail`` if given; else the midpoint is probed first.  From a
-    passing probe (r, theta*, m) the step is the Danskin tangent r - m r / (r d/dr
-    phi) at theta*, capped at hi - (hi - r)/8, and a jet value <= 0 there fails it
-    unprobed.  A tangent at or past ``hi`` (or a slope that is not negative)
-    returns with ``hi`` unchanged if ``hi`` is the cap or four tangents are spent.
-    From a failing point :func:`_newton` finds the root; a probe 0.45 ``tol`` below
-    it passes, or fails and restarts Newton from its argmin (three rounds at most),
-    and a jet value <= 0 0.45 ``tol`` above it becomes ``hi``.  At most 8 probes
-    precede :func:`_bracket_root`, which closes what is left.
+    r passes when the value of ``scan(r)`` is > 0.  ``lo`` passes, with the probe
+    (value, theta) ``data``, or with value c_1 = 1 when ``data`` is None (lo = 0).
+    ``hi`` fails unprobed: a guard bound, the cap, or a point that failed.
+    Without a Newton ``start`` point (r, theta) the midpoint is probed first.  From
+    a passing probe (r, theta*, m) the step is the Danskin tangent r - m r / (r d/dr
+    phi) at theta*, at least 0.9 ``tol`` above r and capped at hi - (hi - r)/8, and
+    a jet value <= 0 there fails it unprobed.  A tangent at or past ``hi`` (or a
+    slope that is not negative) returns with ``hi`` unchanged if ``hi`` is the cap
+    or five tangents are spent.  Then, while hi - lo > ``tol``: from the last
+    failing point (or ``start``) :func:`_newton` finds the root, where a probe 0.45
+    ``tol`` below it passes, or fails and is the next start (three rounds at most),
+    and a jet value <= 0 0.45 ``tol`` above it becomes ``hi``; otherwise the
+    midpoint is probed.  So a search makes at most 5 tangent probes, 3 Newton
+    probes and ceil(log2(max(hi - lo, tol) / tol)) bisections.  Returns (lo, hi,
+    the probe at lo or ``data``, probes made), ``hi`` unchanged when nothing failed.
     """
     if hi - lo <= tol:
         return lo, hi, data, 0
     probes = 0
-    start = None if fail is None else (hi, fail[1])
     x = 0.5 * (lo + hi)
-    for tangents in range(5 if fail is None else 0):
+    for tangents in range(5 if start is None else 0):
         found = scan(x)
         probes += 1
         if not found[0] > 0.0:
@@ -640,30 +648,38 @@ def _search(
         step = x - x * found[0] / slope if slope < 0.0 else math.inf
         if step >= hi and (hi == RADIUS_CAP or tangents == 4):
             return lo, hi, data, probes
-        if tangents == 4:
-            break
-        x = min(step, hi - (hi - x) / 8.0)
+        x = min(max(step, x + 0.9 * tol), hi - (hi - x) / 8.0)
         if not jet(cmath.rect(x, found[1]))[0] > 0.0:
             hi, start = x, (x, found[1])
             break
-    for _ in range(0 if start is None else 3):
-        hi, root = _newton(jet, *start, lo, hi, tol)
-        if root is None:
-            break
-        x = root[0] - 0.45 * tol
-        if lo < x < hi:
-            found = scan(x)
-            probes += 1
-            if not found[0] > 0.0:
-                hi, start = x, (x, found[1])
+    rounds = 0
+    while hi - lo > tol:
+        if start is not None and rounds < 3:
+            rounds += 1
+            hi, root = _newton(jet, *start, lo, hi, tol)
+            start = None
+            if root is None:
                 continue
+            x = root[0] - 0.45 * tol
+            if lo < x < hi:
+                found = scan(x)
+                probes += 1
+                if not found[0] > 0.0:
+                    hi, start = x, (x, found[1])
+                    continue
+                lo, data = x, found
+            x = root[0] + 0.45 * tol
+            if lo < x < hi and not jet(cmath.rect(x, root[1]))[0] > 0.0:
+                hi = x
+            continue
+        x = 0.5 * (lo + hi)
+        found = scan(x)
+        probes += 1
+        if found[0] > 0.0:
             lo, data = x, found
-        x = root[0] + 0.45 * tol
-        if lo < x < hi and not jet(cmath.rect(x, root[1]))[0] > 0.0:
-            hi = x
-        break
-    lo, hi, data, more = _bracket_root(scan, lo, data, hi, tol)
-    return lo, hi, data, probes + more
+        else:
+            hi, start = x, (x, found[1])
+    return lo, hi, data, probes
 
 
 def _newton(
@@ -690,56 +706,3 @@ def _newton(
         if not lo < r < hi:
             break
     return hi, None
-
-
-def _bracket_root(
-    probe: Callable[[float], tuple], lo: float, data: tuple | None, hi: float, tol: float
-) -> tuple[float, float, tuple | None, int]:
-    """Largest passing radius in [lo, hi] to within ``tol``: :func:`_search`'s finisher.
-
-    ``probe(r)`` returns a tuple (f, ...) and r passes when f > 0.  ``lo``
-    passes with the probe tuple ``data``, or with f = 1 when ``data`` is None
-    (lo = 0, where f is c_1 of a normalized series).  ``hi`` fails and has
-    no value here: a guard bound, the cap, or a point that failed.
-    Steps are Anderson-Bjorck regula falsi: the secant root of the bracket's
-    values, where an end kept twice in a row has its value scaled down so
-    that both ends close in.  A step bisects instead until a probe fails,
-    so the failing end has a value (m falls steeply near a guard zero, so
-    a secant through f(0) = 1 would land near 0), and whenever a secant step
-    that fails to shrink the bracket would leave too few probes to finish
-    by bisection; so it never takes more than
-    ceil(log2(max(hi - lo, tol) / tol)) + 4 probes, and none when
-    hi - lo <= tol.  Stops when hi - lo <= tol and returns (lo, hi, the
-    tuple of the probe at lo or ``data``, probes made); ``hi`` is returned
-    unchanged when no probe failed.
-    """
-    f_lo = 1.0 if data is None else data[0]
-    f_hi = -math.inf
-    budget = math.ceil(math.log2(max(hi - lo, tol) / tol)) + 4
-    probes = 0
-    passed_last: bool | None = None
-    while hi - lo > tol:
-        x = 0.5 * (lo + hi)
-        secant_ok = hi - lo <= tol * 2.0 ** (budget - probes - 1)
-        if math.isfinite(f_hi) and secant_ok:
-            x = (f_hi * lo - f_lo * hi) / (f_hi - f_lo)
-            x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
-        found = probe(x)
-        f = found[0]
-        probes += 1
-        if f > 0.0:
-            if passed_last:
-                f_hi *= _ab_factor(f, f_lo)
-            lo, f_lo, data = x, f, found
-        else:
-            if passed_last is False and math.isfinite(f_hi):
-                f_lo *= _ab_factor(f, f_hi)
-            hi, f_hi = x, f
-        passed_last = f > 0.0
-    return lo, hi, data, probes
-
-
-def _ab_factor(f_new: float, f_old: float) -> float:
-    """Anderson-Bjorck scale for the value of the end kept twice in a row."""
-    m = 1.0 - f_new / f_old if f_old else 0.0
-    return m if m > 0.0 else 0.5

@@ -733,21 +733,11 @@ def test_local_univalence_radius_is_the_guard_bound(monkeypatch):
     assert scans == []
 
 
-def test_radius_probes_stay_below_the_guard_bound(monkeypatch):
-    """Every circle a field criterion's solve scans, and every point where it
-    evaluates the jet, lies strictly inside the guard bound that the solve
-    used and at most at the cap, so nothing it evaluates meets a pole.  That
-    bound is the root-free one, or the larger of it and the discs' when the
-    search reached it."""
+def _record_evaluated_radii(monkeypatch):
+    """A list that gets the radius of every circle a solve scans and the modulus
+    of every point where it evaluates the jet."""
     probed = []
-    discs = []
-    build = radius_module._field_scan
-    build_jet = radius_module._point_jet
-    guard_bound = radius_module._guard_bound
-
-    def recording_bound(coeffs):
-        discs.append(guard_bound(coeffs))
-        return discs[-1]
+    build, build_jet = radius_module._field_scan, radius_module._point_jet
 
     def recording_build(parts, grid):
         scan = build(parts, grid)
@@ -769,6 +759,23 @@ def test_radius_probes_stay_below_the_guard_bound(monkeypatch):
 
     monkeypatch.setattr(radius_module, "_field_scan", recording_build)
     monkeypatch.setattr(radius_module, "_point_jet", recording_jet)
+    return probed
+
+
+def test_radius_probes_stay_below_the_guard_bound(monkeypatch):
+    """Every circle a field criterion's solve scans, and every point where it
+    evaluates the jet, lies strictly inside the guard bound that the solve
+    used and at most at the cap, so nothing it evaluates meets a pole.  That
+    bound is the root-free one, or the larger of it and the discs' when the
+    search reached it."""
+    probed = _record_evaluated_radii(monkeypatch)
+    discs = []
+    guard_bound = radius_module._guard_bound
+
+    def recording_bound(coeffs):
+        discs.append(guard_bound(coeffs))
+        return discs[-1]
+
     monkeypatch.setattr(radius_module, "_guard_bound", recording_bound)
     for s in _sampled_sections() + [f0(n) for n in range(2, 31)]:
         for criterion in FIELD_CRITERIA:
@@ -945,10 +952,10 @@ if HAS_HYPOTHESIS:
         _assert_search_invariants(section(f, n), criterion, tol, grid)
 
 
-def test_radius_without_newton_is_the_bracket_only_radius(monkeypatch):
-    """A Newton that always gives up leaves every bracket to _bracket_root; the
-    radius is then within tol of a solve that never leaves _bracket_root (the
-    search before Newton), and so is the radius with Newton."""
+def test_radius_without_newton_is_the_bisection_radius(monkeypatch):
+    """A Newton that always gives up leaves every bracket to the tangents and
+    bisection; the radius is then within tol of a solve by plain bisection on
+    the scans, and so is the radius with Newton."""
     tol = 1e-9
     sections = _sampled_sections() + [f0(n) for n in range(2, 31)]
     sections += [koebe(n) for n in (5, 12, 40)]
@@ -960,10 +967,17 @@ def test_radius_without_newton_is_the_bracket_only_radius(monkeypatch):
     monkeypatch.setattr(radius_module, "_newton", lambda jet, r, theta, lo, hi, tol: (hi, None))
     without_newton = radii()
 
-    def bracket_only(scan, jet, lo, data, hi, tol, fail=None):
-        return radius_module._bracket_root(scan, lo, data, hi, tol)
+    def bisection(scan, jet, lo, data, hi, tol, start=None):
+        while hi - lo > tol:
+            x = 0.5 * (lo + hi)
+            found = scan(x)
+            if found[0] > 0.0:
+                lo, data = x, found
+            else:
+                hi = x
+        return lo, hi, data, 0
 
-    monkeypatch.setattr(radius_module, "_search", bracket_only)
+    monkeypatch.setattr(radius_module, "_search", bisection)
     reference = radii()
     assert np.max(np.abs(without_newton - reference)) <= tol
     assert np.max(np.abs(with_newton - reference)) <= tol
@@ -981,6 +995,23 @@ def test_radius_search_whose_top_never_fails_probes_the_cap_early():
         assert res.clamped and res.iterations <= 3
     res = criterion_radius(half_plane(1), Criterion.RE_DERIV)
     assert res.clamped and res.iterations <= 3
+
+
+def test_radius_tangent_that_stalls_on_the_root_ends_the_search():
+    """A Danskin tangent lands at least 0.9 tol above its probe, so one that
+    stalls on the root fails its jet check and ends the search with no probe.
+    Every n = 2 section of the seed-1, -2 and -3 conjecture2 samples, whose root
+    lies at half the root-free bound, where the first probe lands, takes at
+    most 3 probes (7 for 14, 19 and 21 of them when tangents could stall);
+    f0(2) takes 1 (2 before) and f0(28)'s convex solve at most 5 (7 before)."""
+    for seed in (1, 2, 3):
+        members = [f0(30)] + [synthesize_F(spec, order=30) for spec in sample_specs(50, 3, seed)]
+        for f in members:
+            res = criterion_radius(section(f, 2), Criterion.STARLIKENESS, 1e-7, 512)
+            assert res.iterations <= 3
+    for criterion in (Criterion.STARLIKENESS, Criterion.CONVEXITY):
+        assert criterion_radius(f0(2), criterion).iterations == 1
+    assert criterion_radius(f0(28), Criterion.CONVEXITY).iterations <= 5
 
 
 def test_radius_coincident_root_approximations_give_zero(monkeypatch):
@@ -1041,15 +1072,19 @@ def test_radius_falls_back_to_the_discs_when_the_search_reaches_the_cheap_bound(
 def test_radius_search_that_reaches_the_discs_bound_ends_within_tol_of_it(monkeypatch):
     """A discs' bound of 0.68 below the starlike radius 0.684 of z (1 + (z/0.9)^8)
     fails unprobed: after the lift every probe passes, and the second search ends
-    within tol below that bound, with its four tangents spent or by bisection."""
+    within tol below that bound, with its five tangents spent and again from its
+    last passing probe, by bisection.  No probe and no jet evaluation reaches the
+    bound."""
     tol = 1e-9  # the default
     c = np.zeros(10)
     c[1], c[9] = 1.0, 0.9**-8
     assert _graeffe_bound(c[1:]) < 0.68
+    probed = _record_evaluated_radii(monkeypatch)
     monkeypatch.setattr(radius_module, "_guard_bound", lambda coeffs: 0.68)
     res = criterion_radius(TruncatedSeries(c), Criterion.STARLIKENESS)
     assert 0.68 - tol <= res.radius < 0.68
     assert res.witness is not None and res.witness.r == res.radius
+    assert probed and all(r < 0.68 for r in probed)
 
 
 def test_radius_solves_make_no_root_finder_call_on_known_sections(monkeypatch):
