@@ -23,10 +23,11 @@ and :func:`_field_scan` prepares such a field once per solve.  Each circle then
 costs one inverse FFT of the stacked coefficient rows for a grid scan, and
 safeguarded Newton steps near the grid argmin, each one Horner pass over
 both polynomials; :func:`boundary_min` and ``verify``'s scans of g and
-Re (1-z)^{-3} are one-probe cases, and ``verify``'s theorem-1 sweep scans
-a member's sections one FFT each, skipping those that a certified lower
-bound puts above its running minimum.  A negative arc of the field
-narrower than a grid cell, away from the grid argmin, can go unseen.
+Re (1-z)^{-3} are one-probe cases, and :func:`_section_margins`, the sweep
+behind ``verify``'s theorem-1 suite, scans a member's sections one FFT
+each, skipping those that a certified lower bound puts above its running
+minimum.  A negative arc of the field narrower than a grid cell, away from
+the grid argmin, can go unseen.
 
 :func:`criterion_radius` solves for the radius where the boundary minimum
 changes sign, inside [0, rho): rho is a certified lower bound on the root
@@ -280,8 +281,9 @@ def _circle_values(rows: np.ndarray, r: float, grid: int) -> np.ndarray:
 def _field_scan(parts: tuple, grid: int) -> Callable[[float], tuple[float, float]]:
     """``scan(r) -> (value, theta)``, the minimum of the field Re(num/den) of
     :func:`_field_parts` output on |z| = r: :func:`_refine` of ``scan.field(r)``, the
-    field at the angles 2 pi k / grid from :func:`_circle_values`.  Rows, jet and
-    mirror flag are made once.  The row of den = 1 transforms to exactly 1, and
+    field at the angles 2 pi k / grid from :func:`_circle_values`, by ``scan.jet``, the
+    field's :func:`_point_jet`.  Rows, jet and mirror flag are made once, and a solve's
+    Newton steps take the same jet.  The row of den = 1 transforms to exactly 1, and
     dividing by it is exact."""
     rows = np.zeros((2, max(p.size for p in parts)), dtype=np.complex128)
     for row, p in zip(rows, parts):
@@ -301,6 +303,7 @@ def _field_scan(parts: tuple, grid: int) -> Callable[[float], tuple[float, float
         return _refine(jet, field(r), r, mirror)
 
     scan.field = field
+    scan.jet = jet
     return scan
 
 
@@ -350,6 +353,83 @@ def _refine(jet: Callable, values: np.ndarray, r: float, mirror: bool) -> tuple[
     if theta > math.pi and mirror:
         theta = _TWO_PI - theta
     return best[0], theta
+
+
+def _section_margins(
+    f: TruncatedSeries, best: float, r: float, grid: int
+) -> list[tuple[float, float]]:
+    """``boundary_min(section(f, n), "re-deriv", r, grid)``'s (value, theta), n = 2..f.order,
+    bit for bit, except (inf, 0.0) for a section proved to stay above ``best``.
+
+    s_n' = sum_{k<n} b_k z^k is a prefix of f'.  With a_k = |b_k| r^k,
+    t_n = sum_{1<=k<n} a_k and h = 2 pi / ``grid``, two lower bounds on
+    Re s_n' over |z| <= r skip work, each lowered by the slack e_n below:
+
+    * the cell bound low_n = min(row) - c_n - e_n, c_n = (h^2/8) sum_{k<n}
+      k^2 a_k, of section n's grid row (one inverse FFT,
+      :func:`_circle_values`).  On the circle, phi(theta) = Re s_n'(r e^{i
+      theta}) has |phi''| <= sum k^2 a_k, so in each grid cell phi lies above
+      the chord of its end values, less c_n (the error of linear
+      interpolation), and by the minimum principle so does Re s_n' on the
+      disc.  A row that it puts above ``best`` is not refined
+      (:func:`_refine`, with the section's own jet and mirror flag);
+    * the lifted coefficient bound lift - t_n - e_n.  Re s_n' >= Re b_0 - t_n,
+      and since s_n' = s_m' + sum_{m<=k<n} b_k z^k, Re s_n' >= low_m + t_m -
+      t_n for each row m < n transformed; lift is the largest of Re b_0 and
+      those low_m + t_m.  For a fixed lift the bound falls with n, as
+      computed too (t_n and e_n grow, and rounding is monotone), so the
+      sections it puts above ``best`` are a prefix of those left, counted by
+      one comparison; the row after them is transformed.
+
+    Rounding, by the module's model ((F), (H), (S), (U)).  Let G = ``grid``,
+    L = log2 G, N = f.order and A_n = sum_{k<n} a_k.  The slack
+    e_n = 16 (L sqrt(G) + 2N) u (A_n + c_n) covers the rounding of the
+    bounds and of every value the unskipped path would compute, so a skipped
+    section could not have reported a value below ``best``.  (1) A grid value
+    errs from phi by at most (8 L sqrt(G) + 4) u A_n (F); a row longer than G
+    first sums N / G entries per column, which the N term covers.  (2) A
+    Newton value is Horner's rule at z = ``cmath.rect(r, theta)``, within
+    gamma_3 r of the circle (U), so it errs by gamma_{3n} A_n plus
+    gamma_{4n} (1 + gamma_{3n}) A_n (H), together gamma_{7n} A_n.  So every
+    reported value is at least min phi less the sum of (1) and (2).  (3) Each
+    a_k (hypot, pow and a product) errs by gamma_5 (U), so the cumulative
+    sums err by gamma_{n+3} A_n and c_n by gamma_{n+8} c_n (S), the two
+    subtractions of each bound by u times their operands, and e_n by
+    gamma_{n+12} e_n.  The cell bound also carries (1) of min(row).  (1)
+    twice, (2) and (3) add to less than e_n for every n <= N: the FFT's error
+    twice is below 16 L sqrt(G) u A_n + 8 u A_n, and the rest below
+    (9 N + 6) u (A_n + c_n).  In the lifted bound, e_m covers row m's own
+    errors, (1) of min(row) and (3) of c_m and of two subtractions, so low_m
+    is at most min Re s_m' on the disc.  e_n covers the rest: the error of a
+    value reported for section n, (1) or (2); the difference t_n - t_m of two
+    computed sums, within 2 gamma_{n+3} A_n; and three subtractions,
+    low_m + t_m, - t_n and - e_n, whose operands stay below 4 (A_n + c_n); in
+    all, less than 8 L sqrt(G) u A_n + (9 N + 25) u (A_n + c_n) < e_n.
+    """
+    b = _field_parts(f, Criterion.RE_DERIV)[0]
+    k = np.arange(b.size)
+    a = np.abs(b) * r**k
+    tail = np.cumsum(a[1:])  # t_n, n = 2..N
+    curve = (_TWO_PI / grid) ** 2 / 8.0 * np.cumsum(k * k * a)[1:]  # c_n
+    gamma = 16.0 * (math.log2(grid) * math.sqrt(grid) + 2.0 * b.size) * _UNIT_ROUNDOFF
+    slack = gamma * (a[0] + tail + curve)  # e_n
+    lift = b[0].real
+    margins: list[tuple[float, float]] = []
+    while (j := len(margins)) < tail.size:
+        skipped = np.count_nonzero(lift - tail[j:] - slack[j:] > best)
+        if skipped:
+            margins += [(math.inf, 0.0)] * skipped
+            continue
+        deriv = b[: j + 2]  # s_n', n = j + 2
+        row = _circle_values(deriv[None], r, grid)[0].real
+        low = row.min() - curve[j] - slack[j]
+        if low > best:
+            margins.append((math.inf, 0.0))
+        else:
+            jet = _point_jet((deriv, np.ones(1)))
+            margins.append(_refine(jet, row, r, not np.count_nonzero(deriv.imag)))
+        lift = max(lift, low + tail[j])
+    return margins
 
 
 def boundary_min(
@@ -407,8 +487,8 @@ def criterion_radius(
     the guard polynomial (the field's denominator, see :func:`_field_parts`)
     has no zeros inside the disc.  On [0, rho), with ``rho`` a certified
     lower bound on the guard's root moduli, the field is harmonic on the
-    disc and m is non-increasing.  The field is prepared once
-    (:func:`_field_scan`, :func:`_point_jet`), and :func:`_search` finds the
+    disc and m is non-increasing.  The field is prepared once, as a
+    :func:`_field_scan` with its jet, and :func:`_search` finds the
     root on [0, min(rho, cap)], whose top end fails unprobed: the field at a
     guard zero can look positive.  ``rho`` is first the root-free
     :func:`_graeffe_bound`.  Only when a search reaches it, no probe having
@@ -440,20 +520,19 @@ def criterion_radius(
         raise ValidationError(f"tol must be at least 1e-12, got {tol}")
     grid_size = _integer(grid_size, 16, "grid_size")
     if criterion is Criterion.LOCAL_UNIVALENCE:
-        rho = _guard_bound(s.coeffs[1:] * np.arange(1, s.coeffs.size))
+        rho = _guard_bound(_field_parts(s, Criterion.RE_DERIV)[0])
         return RadiusResult(1.0 if rho > RADIUS_CAP else rho, None, 0)
     parts = _field_parts(s, criterion)
     guard = parts[1]
     rho = _graeffe_bound(guard)
     scan = _field_scan(parts, grid_size)
-    jet = _point_jet(parts)
     top = min(rho, RADIUS_CAP)
-    r, hi, found, probes = _search(scan, jet, 0.0, None, top, tol)
+    r, hi, found, probes = _search(scan, 0.0, None, top, tol)
     if hi == top and rho <= RADIUS_CAP:
         # the search reached the root-free bound: the tight discs may lift it
         rho = max(rho, _guard_bound(guard))
         top = min(rho, RADIUS_CAP)
-        r, hi, found, more = _search(scan, jet, r, found, top, tol)
+        r, hi, found, more = _search(scan, r, found, top, tol)
         probes += more
     if hi == top:  # the search stopped at its unprobed top: search again from a start below it
         start = (r, found[1]) if found else None
@@ -463,7 +542,7 @@ def criterion_radius(
             if fail[0] > 0.0:
                 return RadiusResult(1.0, BoundaryScan(RADIUS_CAP, *fail), probes)
             start = (RADIUS_CAP, fail[1])
-        r, hi, found, more = _search(scan, jet, r, found, top, tol, start)
+        r, hi, found, more = _search(scan, r, found, top, tol, start)
         probes += more
     witness = None if found is None else BoundaryScan(r, *found)
     return RadiusResult(r, witness, probes)
@@ -607,7 +686,6 @@ def _root_discs(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _search(
     scan: Callable[[float], tuple[float, float]],
-    jet: Callable,
     lo: float,
     data: tuple | None,
     hi: float,
@@ -616,7 +694,7 @@ def _search(
 ) -> tuple[float, float, tuple | None, int]:
     """Largest passing radius in [lo, hi] to within ``tol``, by Newton on (r, theta).
 
-    ``scan`` and ``jet`` are the field's :func:`_field_scan` and :func:`_point_jet`;
+    ``scan`` is the field's :func:`_field_scan`, and the jet is its ``scan.jet``;
     r passes when the value of ``scan(r)`` is > 0.  ``lo`` passes, with the probe
     (value, theta) ``data``, or with value c_1 = 1 when ``data`` is None (lo = 0).
     ``hi`` fails unprobed: a guard bound, the cap, or a point that failed.
@@ -644,19 +722,19 @@ def _search(
             hi, start = x, (x, found[1])
             break
         lo, data = x, found
-        slope = jet(cmath.rect(x, found[1]))[3]
+        slope = scan.jet(cmath.rect(x, found[1]))[3]
         step = x - x * found[0] / slope if slope < 0.0 else math.inf
         if step >= hi and (hi == RADIUS_CAP or tangents == 4):
             return lo, hi, data, probes
         x = min(max(step, x + 0.9 * tol), hi - (hi - x) / 8.0)
-        if not jet(cmath.rect(x, found[1]))[0] > 0.0:
+        if not scan.jet(cmath.rect(x, found[1]))[0] > 0.0:
             hi, start = x, (x, found[1])
             break
     rounds = 0
     while hi - lo > tol:
         if start is not None and rounds < 3:
             rounds += 1
-            hi, root = _newton(jet, *start, lo, hi, tol)
+            hi, root = _newton(scan.jet, *start, lo, hi, tol)
             start = None
             if root is None:
                 continue
@@ -669,7 +747,7 @@ def _search(
                     continue
                 lo, data = x, found
             x = root[0] + 0.45 * tol
-            if lo < x < hi and not jet(cmath.rect(x, root[1]))[0] > 0.0:
+            if lo < x < hi and not scan.jet(cmath.rect(x, root[1]))[0] > 0.0:
                 hi = x
             continue
         x = 0.5 * (lo + hi)

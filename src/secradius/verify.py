@@ -38,14 +38,10 @@ import numpy as np
 from .bounds import k_tail
 from .exceptions import CrossCheckError, ValidationError
 from .radius import (
-    _UNIT_ROUNDOFF,
     Criterion,
     RadiusResult,
-    _circle_values,
-    _field_parts,
     _field_scan,
-    _point_jet,
-    _refine,
+    _section_margins,
     criterion_radius,
     golden_section_min,
 )
@@ -297,84 +293,6 @@ def _sweep_minimum(
     return best, f0_n2
 
 
-def _section_margins(f: TruncatedSeries, best: float) -> list[tuple[float, float]]:
-    """``boundary_min(section(f, n), "re-deriv", THEOREM1_RADIUS, _GRID)``'s (value, theta),
-    n = 2..f.order, bit for bit, except (inf, 0.0) for a section proved to stay above
-    ``best``.
-
-    s_n' = sum_{k<n} b_k z^k is a prefix of f'.  With r = ``THEOREM1_RADIUS``,
-    a_k = |b_k| r^k, t_n = sum_{1<=k<n} a_k and h = 2 pi / ``_GRID``, two
-    lower bounds on Re s_n' over |z| <= r skip work, each lowered by the
-    slack e_n below:
-
-    * the cell bound low_n = min(row) - c_n - e_n, c_n = (h^2/8) sum_{k<n}
-      k^2 a_k, of section n's grid row (one inverse FFT,
-      :func:`_circle_values`).  On the circle, phi(theta) = Re s_n'(r e^{i
-      theta}) has |phi''| <= sum k^2 a_k, so in each grid cell phi lies above
-      the chord of its end values, less c_n (the error of linear
-      interpolation), and by the minimum principle so does Re s_n' on the
-      disc.  A row that it puts above ``best`` is not refined
-      (:func:`_refine`, with the section's own jet and mirror flag);
-    * the lifted coefficient bound lift - t_n - e_n.  Re s_n' >= Re b_0 - t_n,
-      and since s_n' = s_m' + sum_{m<=k<n} b_k z^k, Re s_n' >= low_m + t_m -
-      t_n for each row m < n transformed; lift is the largest of Re b_0 and
-      those low_m + t_m.  For a fixed lift the bound falls with n, as
-      computed too (t_n and e_n grow, and rounding is monotone), so the
-      sections it puts above ``best`` are a prefix of those left, counted by
-      one comparison; the row after them is transformed.
-
-    Rounding (:mod:`secradius.radius`, rounding model (F), (H), (S), (U)).
-    Let G = ``_GRID``, L = log2 G, N = f.order and A_n = sum_{k<n} a_k.  The
-    slack e_n = 16 (L sqrt(G) + 2N) u (A_n + c_n) covers the rounding of the
-    bounds and of every value the unskipped path would compute, so a skipped
-    section could not have reported a value below ``best``.  (1) A grid value
-    errs from phi by at most (8 L sqrt(G) + 4) u A_n (F); a row longer than G
-    first sums N / G entries per column, which the N term covers.  (2) A
-    Newton value is Horner's rule at z = ``cmath.rect(r, theta)``, within
-    gamma_3 r of the circle (U), so it errs by gamma_{3n} A_n plus
-    gamma_{4n} (1 + gamma_{3n}) A_n (H), together gamma_{7n} A_n.  So every
-    reported value is at least min phi less the sum of (1) and (2).  (3) Each
-    a_k (hypot, pow and a product) errs by gamma_5 (U), so the cumulative
-    sums err by gamma_{n+3} A_n and c_n by gamma_{n+8} c_n (S), the two
-    subtractions of each bound by u times their operands, and e_n by
-    gamma_{n+12} e_n.  The cell bound also carries (1) of min(row).  (1)
-    twice, (2) and (3) add to less than e_n for every n <= N: the FFT's error
-    twice is below 16 L sqrt(G) u A_n + 8 u A_n, and the rest below
-    (9 N + 6) u (A_n + c_n).  In the lifted bound, e_m covers row m's own
-    errors, (1) of min(row) and (3) of c_m and of two subtractions, so low_m
-    is at most min Re s_m' on the disc.  e_n covers the rest: the error of a
-    value reported for section n, (1) or (2); the difference t_n - t_m of two
-    computed sums, within 2 gamma_{n+3} A_n; and three subtractions,
-    low_m + t_m, - t_n and - e_n, whose operands stay below 4 (A_n + c_n); in
-    all, less than 8 L sqrt(G) u A_n + (9 N + 25) u (A_n + c_n) < e_n.
-    """
-    r = THEOREM1_RADIUS
-    b = _field_parts(f, Criterion.RE_DERIV)[0]
-    k = np.arange(b.size)
-    a = np.abs(b) * r**k
-    tail = np.cumsum(a[1:])  # t_n, n = 2..N
-    curve = (_TWO_PI / _GRID) ** 2 / 8.0 * np.cumsum(k * k * a)[1:]  # c_n
-    gamma = 16.0 * (math.log2(_GRID) * math.sqrt(_GRID) + 2.0 * b.size) * _UNIT_ROUNDOFF
-    slack = gamma * (a[0] + tail + curve)  # e_n
-    lift = b[0].real
-    margins: list[tuple[float, float]] = []
-    while (j := len(margins)) < tail.size:
-        skipped = np.count_nonzero(lift - tail[j:] - slack[j:] > best)
-        if skipped:
-            margins += [(math.inf, 0.0)] * skipped
-            continue
-        deriv = b[: j + 2]  # s_n', n = j + 2
-        row = _circle_values(deriv[None], r, _GRID)[0].real
-        low = row.min() - curve[j] - slack[j]
-        if low > best:
-            margins.append((math.inf, 0.0))
-        else:
-            jet = _point_jet((deriv, np.ones(1)))
-            margins.append(_refine(jet, row, r, not np.count_nonzero(deriv.imag)))
-        lift = max(lift, low + tail[j])
-    return margins
-
-
 def theorem1_suite(
     count: int = 200, atom_count: int = 3, n_max: int = 20, seed: int = 7
 ) -> VerificationReport:
@@ -384,7 +302,7 @@ def theorem1_suite(
     minimized over the circle of radius 1/3 - 1e-6 on a ``_GRID``-point scan
     (an inverse FFT of the section's row, then Newton), except where a
     certified lower bound puts a section above the running minimum, which it
-    then cannot set (:func:`_section_margins`); f0 comes first and is
+    then cannot set (``radius._section_margins``); f0 comes first and is
     measured whole.  The suite asserts the global minimum margin stays
     above -1e-9 and that the injected extremal attains a near-zero margin
     at n = 2; the raw minimum is reported as an informational item.
@@ -392,7 +310,7 @@ def theorem1_suite(
     n_max = _integer(n_max, 2, "n_max")
     r = THEOREM1_RADIUS
     (best_margin, best_label, best_n, best_theta), (f0_margin, f0_theta) = _sweep_minimum(
-        count, atom_count, seed, 2, n_max, _section_margins
+        count, atom_count, seed, 2, n_max, lambda f, best: _section_margins(f, best, r, _GRID)
     )
     items = (
         VerificationItem("theorem1_min_margin", best_margin, witness=(r, best_theta)),

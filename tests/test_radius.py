@@ -187,6 +187,41 @@ def test_complex_division_errs_within_the_rounding_model():
         assert err2 <= 2 * gamma**2 * (re * re + im * im)
 
 
+def test_circle_values_err_within_the_rounding_model():
+    """Fact (F) of ``radius``' rounding model, its assumption on pocketfft's
+    radix-4 and radix-8 passes included: at k = 0, G/4, G/2 and 3G/4 the roots
+    of unity are 1, i, -1 and -i, so the exact value sum_j x_j r^j i^(qj) at
+    the float r is a rational sum, grouped here by j mod 4.  Each value of
+    ``_circle_values`` lies within (8 L sqrt(G) + 4) u A of it, A = sum_j |x_j|
+    r^j, plus gamma_{m-1} A (S) when a column sums m = ceil(len(x) / G)
+    entries: rows of length 2..60 at G = 512 and 2048, none folded, and rows
+    of length 40 and 100 at G = 16 and 100 at G = 64, folded."""
+    u = Fraction(1, 2**53)
+    rng = np.random.default_rng(33)
+    cases = [(size, grid) for grid in (512, 2048) for size in range(2, 61)]
+    cases += [(40, 16), (100, 16), (100, 64)]
+    for r in (1.0 / 3.0, 0.99):
+        powers = [Fraction(r) ** j for j in range(100)]
+        for size, grid in cases:
+            x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+            values = radius_module._circle_values(x[None], r, grid)[0]
+            groups = [[Fraction(0), Fraction(0)] for _ in range(4)]
+            for j, c in enumerate(x.tolist()):
+                groups[j % 4][0] += Fraction(c.real) * powers[j]
+                groups[j % 4][1] += Fraction(c.imag) * powers[j]
+            m = -(-size // grid)
+            fold = (m - 1) * u / (1 - (m - 1) * u)
+            scale = Fraction(math.fsum(abs(c) * r**j for j, c in enumerate(x.tolist())))
+            bound = ((8 * math.log2(grid) * math.sqrt(grid) + 4) * u + fold) * scale
+            for q in range(4):
+                re = im = Fraction(0)
+                for t, (a, b) in enumerate(groups):  # times i^(q t)
+                    a, b = [(a, b), (-b, a), (-a, -b), (b, -a)][q * t % 4]
+                    re, im = re + a, im + b
+                v = complex(values[q * grid // 4])
+                assert (Fraction(v.real) - re) ** 2 + (Fraction(v.imag) - im) ** 2 <= bound**2
+
+
 # ---------------------------------------------------------------------------
 # Boundary scans
 # ---------------------------------------------------------------------------
@@ -494,6 +529,22 @@ def test_newton_refinement_takes_few_evaluations(jet_evaluations):
     assert sum(jet_evaluations) <= 6 * len(jet_evaluations)
 
 
+def test_a_solve_builds_one_jet(jet_evaluations):
+    """A field solve builds its point jet once, in ``_field_scan``, and its Newton
+    steps evaluate that jet: the starlike solves of the seed-1 conjecture2 sample
+    (f0 and 50 specs, n = 2..30, grid 512, tol 1e-7) build one jet each, and the
+    local-univalence solves of the same sections, which probe nothing, none."""
+    members = [f0(30)] + [synthesize_F(spec, order=30) for spec in sample_specs(50, 3, 1)]
+    solves = 0
+    for f in members:
+        for n in range(2, 31):
+            s = section(f, n)
+            criterion_radius(s, Criterion.STARLIKENESS, 1e-7, 512)
+            criterion_radius(s, Criterion.LOCAL_UNIVALENCE, 1e-7, 512)
+            solves += 1
+    assert len(jet_evaluations) == solves == 1479
+
+
 def test_newton_starts_at_the_grid_parabola_vertex(jet_evaluations):
     """Scans of the 33 complex sampled sections, under every field criterion
     at r = 0.1, 0.3 and 0.45 on grid 512, average at most 2.8 jet
@@ -746,6 +797,7 @@ def _record_evaluated_radii(monkeypatch):
             probed.append(r)
             return scan(r)
 
+        recording.jet = scan.jet
         return recording
 
     def recording_jet(parts):
@@ -890,6 +942,7 @@ def _solve_and_failing_radii(s, criterion, tol, grid):
                 failing.append(r)
             return found
 
+        probe.jet = scan.jet
         return probe
 
     def recording_jet(parts):
@@ -967,7 +1020,7 @@ def test_radius_without_newton_is_the_bisection_radius(monkeypatch):
     monkeypatch.setattr(radius_module, "_newton", lambda jet, r, theta, lo, hi, tol: (hi, None))
     without_newton = radii()
 
-    def bisection(scan, jet, lo, data, hi, tol, start=None):
+    def bisection(scan, lo, data, hi, tol, start=None):
         while hi - lo > tol:
             x = 0.5 * (lo + hi)
             found = scan(x)

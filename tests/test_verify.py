@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import secradius.radius as radius_module
 import secradius.verify as verify
 from secradius.bounds import k_tail
 from secradius.exceptions import CrossCheckError, ValidationError
@@ -396,14 +397,19 @@ def test_sweep_measures_the_exact_f0_sections():
 MIXED = TruncatedSeries([0, 1, 0.5, -0.25, 0.125, 0.1, -0.05, 0.02j, 0.01 - 0.01j, 0.003j])
 
 
+def _margins(f, best):
+    """The theorem-1 suite's sweep of f's sections, given the running minimum ``best``."""
+    return radius_module._section_margins(f, best, THEOREM1_RADIUS, verify._GRID)
+
+
 def _assert_section_margins_are_boundary_min(f):
-    """verify._section_margins(f, inf), which skips nothing, is boundary_min's
-    (value, theta) at THEOREM1_RADIUS on every section s_2..s_N of f, bit for bit."""
+    """_margins(f, inf), which skips nothing, is boundary_min's (value, theta)
+    at THEOREM1_RADIUS on every section s_2..s_N of f, bit for bit."""
     direct = []
     for n in range(2, f.order + 1):
         scan = boundary_min(section(f, n), "re-deriv", THEOREM1_RADIUS, verify._GRID)
         direct.append((scan.min_value, scan.argmin_theta))
-    assert verify._section_margins(f, math.inf) == direct
+    assert _margins(f, math.inf) == direct
 
 
 @pytest.mark.parametrize(
@@ -424,7 +430,7 @@ def test_section_margins_are_boundary_min_bit_for_bit(f):
 def test_section_margins_mirror_only_real_sections():
     """Each section takes its own mirror flag: MIXED's real sections report
     theta in [0, pi], and its complex ones their minima past pi."""
-    thetas = [theta for _value, theta in verify._section_margins(MIXED, math.inf)]
+    thetas = [theta for _value, theta in _margins(MIXED, math.inf)]
     assert all(0.0 <= theta <= math.pi for theta in thetas[:5])
     assert all(theta > math.pi for theta in thetas[5:])
 
@@ -433,7 +439,7 @@ def _assert_skip_bounds_are_sound(f):
     """Both lower bounds of every section s_2..s_N of f lie at or below its
     boundary_min value at THEOREM1_RADIUS and below the least value of
     Re s_n' on 2^16 angles: with ``best`` the lesser of the two (the latter
-    one ulp lower), verify._section_margins still measures the section."""
+    one ulp lower), the sweep still measures the section."""
     b = f.coeffs[1:] * np.arange(1, f.order + 1)
     z = THEOREM1_RADIUS * np.exp(2j * np.pi * np.arange(2**16) / 2**16)
     power = np.ones_like(z)
@@ -443,7 +449,7 @@ def _assert_skip_bounds_are_sound(f):
         dense += b[n - 1] * power  # s_n' on the 2^16 angles
         scan = boundary_min(section(f, n), "re-deriv", THEOREM1_RADIUS, verify._GRID)
         best = min(scan.min_value, np.nextafter(dense.real.min(), -math.inf))
-        margins = verify._section_margins(f, best)
+        margins = _margins(f, best)
         assert margins[n - 2] == (scan.min_value, scan.argmin_theta), n
 
 
@@ -480,9 +486,9 @@ def test_theorem1_suite_equals_the_unskipped_sweep(monkeypatch, seed, atom_count
     lifted, then skips most of the later rows."""
     rows, refined = [], []
     real_values, real_refine, real_margins = (
-        verify._circle_values,
-        verify._refine,
-        verify._section_margins,
+        radius_module._circle_values,
+        radius_module._refine,
+        radius_module._section_margins,
     )
 
     def circle_values(matrix, *args):
@@ -493,8 +499,8 @@ def test_theorem1_suite_equals_the_unskipped_sweep(monkeypatch, seed, atom_count
         refined.append(args)
         return real_refine(*args)
 
-    monkeypatch.setattr(verify, "_circle_values", circle_values)
-    monkeypatch.setattr(verify, "_refine", refine)
+    monkeypatch.setattr(radius_module, "_circle_values", circle_values)
+    monkeypatch.setattr(radius_module, "_refine", refine)
     report = theorem1_suite(count=100, atom_count=atom_count, n_max=n_max, seed=seed)
     sections = 101 * (n_max - 1)
     assert len(refined) < sections
@@ -503,7 +509,9 @@ def test_theorem1_suite_equals_the_unskipped_sweep(monkeypatch, seed, atom_count
         assert (sum(rows), len(refined)) == (419, 119)
     rows.clear()
     refined.clear()
-    monkeypatch.setattr(verify, "_section_margins", lambda f, best: real_margins(f, math.inf))
+    monkeypatch.setattr(
+        verify, "_section_margins", lambda f, best, r, grid: real_margins(f, math.inf, r, grid)
+    )
     unskipped = theorem1_suite(count=100, atom_count=atom_count, n_max=n_max, seed=seed)
     assert (sum(rows), len(refined)) == (sections, sections)
     assert report.items == unskipped.items
@@ -530,7 +538,7 @@ def test_a_dip_between_grid_points_below_best_is_refined(monkeypatch):
         lambda spec, order: planted if spec.seed == target else real(spec, order=order),
     )
     report = theorem1_suite(count=3, n_max=4, seed=7)
-    value, theta = verify._section_margins(planted, math.inf)[0]
+    value, theta = _margins(planted, math.inf)[0]
     assert abs(value - 2e-6) < 1e-12
     assert report.items[0].computed == value < f0_margin
     params = report.parameters
@@ -556,7 +564,7 @@ def test_a_large_late_coefficient_below_a_lifted_anchor_is_measured(monkeypatch)
     specs = sample_specs(3, 3, 7)
     planted = {specs[0].seed: small, specs[2].seed: large}
     transformed, member = [], []
-    real_synthesize, real_values = verify.synthesize_F, verify._circle_values
+    real_synthesize, real_values = verify.synthesize_F, radius_module._circle_values
 
     def synthesize(spec, order):
         member.append(spec.seed)
@@ -567,7 +575,7 @@ def test_a_large_late_coefficient_below_a_lifted_anchor_is_measured(monkeypatch)
         return real_values(matrix, *args)
 
     monkeypatch.setattr(verify, "synthesize_F", synthesize)
-    monkeypatch.setattr(verify, "_circle_values", circle_values)
+    monkeypatch.setattr(radius_module, "_circle_values", circle_values)
     report = theorem1_suite(count=3, n_max=5, seed=7)
     rows = {seed: [n for label, n in transformed if label == seed] for seed in planted}
     assert rows == {specs[0].seed: [3], specs[2].seed: [3, 5]}
