@@ -40,10 +40,12 @@ open.  rho is first a root-free bound, from three Graeffe squarings and
 Cauchy's bound (:func:`_graeffe_bound`); only a search that reaches it
 finds the roots, and then rho is the larger of it and the least modulus on
 Gerschgorin discs around the ``np.roots`` approximations
-(:func:`_root_discs`).  :func:`count_zeros` counts the zeros inside a
-circle on those discs, exactly unless a disc meets the circle.  Both that
-and a field denominator vanishing at a scanned point raise
-:class:`ZeroOnCircleError`: a zero on the circle to working precision.
+(:func:`_root_discs`).  A cap below rho is probed before the search: a pass
+there clamps the radius to 1.0, and a failure is where Newton starts.
+:func:`count_zeros` counts the zeros inside a circle on those discs,
+exactly unless a disc meets the circle.  Both that and a field denominator
+vanishing at a scanned point raise :class:`ZeroOnCircleError`: a zero on
+the circle to working precision.
 
 Rounding model.  Each certified bound errs small in floating point by these
 facts (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.):
@@ -149,12 +151,10 @@ class RadiusResult:
     away from 0, and for local univalence, which probes nothing).
     At most ``tol`` above ``radius`` lies the guard bound, the cap, a failing
     probe or a point of a circle where the computed field is <= 0.
-    ``iterations`` counts boundary-scan probes: at most
-    ceil(log2(max(width, tol) / tol)) + 9 for each of the one or two
-    searches of :func:`criterion_radius`, each over a bracket of that width.
-    A search makes at most 5 tangent probes, 3 Newton probes and that many
-    bisections; one that stops at its top after its tangents alone is
-    searched again with no tangent, after at most one probe of the cap.
+    ``iterations`` counts boundary-scan probes: at most one probe of the cap,
+    plus ceil(log2(max(width, tol) / tol)) + 8 for each of the one or two
+    searches of :func:`criterion_radius`, each over a bracket of that width:
+    at most 5 tangent probes, 3 Newton probes and that many bisections.
     """
 
     radius: float
@@ -494,12 +494,11 @@ def criterion_radius(
     :func:`_graeffe_bound`.  Only when a search reaches it, no probe having
     failed, does :func:`_guard_bound` find the roots; both bounds are
     certified, so a second search goes on from the passing end up to the
-    larger.  A search that stops at its unprobed top is searched again from
-    a Newton start.  A cap below ``rho`` is probed once: passing there
-    clamps, and the start is its failure.  Below a bound the start is the
-    last passing probe, from which Newton's steps stay below the bound and
-    bisection closes the bracket.  No evaluated point meets a pole.  Bounds
-    of 0 leave the empty bracket [0, 0]: radius 0.0, no witness, no probe.
+    larger, starting Newton from the last passing probe.  A cap below
+    ``rho`` is probed before its search: passing there clamps, and failing
+    there starts Newton.  Newton's steps stay below the top, and bisection
+    closes the bracket.  No evaluated point meets a pole.  Bounds of 0
+    leave the empty bracket [0, 0]: radius 0.0, no witness, no probe.
 
     Local univalence asks only that the guard s' be zero-free, which is what
     the discs' bound :func:`_guard_bound` certifies: its radius is that
@@ -524,17 +523,12 @@ def criterion_radius(
         return RadiusResult(1.0 if rho > RADIUS_CAP else rho, None, 0)
     parts = _field_parts(s, criterion)
     guard = parts[1]
-    rho = _graeffe_bound(guard)
     scan = _field_scan(parts, grid_size)
-    top = min(rho, RADIUS_CAP)
-    r, hi, found, probes = _search(scan, 0.0, None, top, tol)
-    if hi == top and rho <= RADIUS_CAP:
-        # the search reached the root-free bound: the tight discs may lift it
-        rho = max(rho, _guard_bound(guard))
+    r, found, probes, rho = 0.0, None, 0, 0.0
+    # a search that reaches the root-free bound unfailed lets the tight discs lift it
+    for bound in (_graeffe_bound, _guard_bound):
+        rho = max(rho, bound(guard))
         top = min(rho, RADIUS_CAP)
-        r, hi, found, more = _search(scan, r, found, top, tol)
-        probes += more
-    if hi == top:  # the search stopped at its unprobed top: search again from a start below it
         start = (r, found[1]) if found else None
         if top < rho:
             fail = scan(RADIUS_CAP)
@@ -544,6 +538,8 @@ def criterion_radius(
             start = (RADIUS_CAP, fail[1])
         r, hi, found, more = _search(scan, r, found, top, tol, start)
         probes += more
+        if hi < top or top < rho:
+            break
     witness = None if found is None else BoundaryScan(r, *found)
     return RadiusResult(r, witness, probes)
 
@@ -697,14 +693,14 @@ def _search(
     ``scan`` is the field's :func:`_field_scan`, and the jet is its ``scan.jet``;
     r passes when the value of ``scan(r)`` is > 0.  ``lo`` passes, with the probe
     (value, theta) ``data``, or with value c_1 = 1 when ``data`` is None (lo = 0).
-    ``hi`` fails unprobed: a guard bound, the cap, or a point that failed.
-    Without a Newton ``start`` point (r, theta) the midpoint is probed first.  From
-    a passing probe (r, theta*, m) the step is the Danskin tangent r - m r / (r d/dr
-    phi) at theta*, at least 0.9 ``tol`` above r and capped at hi - (hi - r)/8, and
-    a jet value <= 0 there fails it unprobed.  A tangent at or past ``hi`` (or a
-    slope that is not negative) returns with ``hi`` unchanged if ``hi`` is the cap
-    or five tangents are spent.  Then, while hi - lo > ``tol``: from the last
-    failing point (or ``start``) :func:`_newton` finds the root, where a probe 0.45
+    ``hi`` fails unprobed here: a guard bound, the cap, or a point that failed.
+    A Newton ``start`` point (r, theta) is the cap's failure or a passing probe;
+    without one the midpoint is probed first.  From a passing probe (r, theta*, m)
+    the step is the Danskin tangent r - m r / (r d/dr phi) at theta*, at least 0.9
+    ``tol`` above r and capped at hi - (hi - r)/8, and a jet value <= 0 there fails
+    it unprobed.  A fifth tangent at or past ``hi`` (or with a slope that is not
+    negative) returns with ``hi`` unchanged.  Then, while hi - lo > ``tol``: from the
+    last failing point (or ``start``) :func:`_newton` finds the root, where a probe 0.45
     ``tol`` below it passes, or fails and is the next start (three rounds at most),
     and a jet value <= 0 0.45 ``tol`` above it becomes ``hi``; otherwise the
     midpoint is probed.  So a search makes at most 5 tangent probes, 3 Newton
@@ -724,7 +720,7 @@ def _search(
         lo, data = x, found
         slope = scan.jet(cmath.rect(x, found[1]))[3]
         step = x - x * found[0] / slope if slope < 0.0 else math.inf
-        if step >= hi and (hi == RADIUS_CAP or tangents == 4):
+        if step >= hi and tangents == 4:
             return lo, hi, data, probes
         x = min(max(step, x + 0.9 * tol), hi - (hi - x) / 8.0)
         if not scan.jet(cmath.rect(x, found[1]))[0] > 0.0:

@@ -969,7 +969,7 @@ def _assert_search_invariants(s, criterion, tol, grid):
     lies at most tol above it, unless the solve clamps or its bracket ends at a
     bound; |cmath.rect(r, theta)| rounds within a few ulps of r."""
     res, failing = _solve_and_failing_radii(s, criterion, tol, grid)
-    assert res.iterations <= 2 * (math.ceil(math.log2(1.0 / tol)) + 12)  # two searches at most
+    assert res.iterations <= 1 + 2 * (math.ceil(math.log2(1.0 / tol)) + 8)  # a cap probe, two searches
     if res.clamped:
         assert res.witness.min_value > 0.0
         return
@@ -1036,18 +1036,18 @@ def test_radius_without_newton_is_the_bisection_radius(monkeypatch):
     assert np.max(np.abs(with_newton - reference)) <= tol
 
 
-def test_radius_search_whose_top_never_fails_probes_the_cap_early():
-    """A tangent from a passing probe that lands past the cap sends the search
-    to the cap at once: the seed-1 conjecture2 sections that clamp, and the
-    identity as half_plane(1), take at most 3 probes (25 and 31 when the
-    search bisected up to the cap)."""
+def test_radius_solve_whose_bound_lies_past_the_cap_clamps_in_one_probe():
+    """A root-free bound above the cap has the cap probed before any search, so
+    the seed-1 conjecture2 sections that clamp, and the identity as
+    half_plane(1), take 1 probe (2 when the cap was probed after a tangent
+    landed past it, 25 and 31 when the search bisected up to the cap)."""
     specs = sample_specs(50, 3, 1)
     for index, n in [(8, 2), (16, 2), (19, 2), (21, 2), (26, 4), (30, 2), (39, 2), (44, 2)]:
         s = section(synthesize_F(specs[index], order=30), n)
         res = criterion_radius(s, Criterion.STARLIKENESS, 1e-7, 512)
-        assert res.clamped and res.iterations <= 3
+        assert res.clamped and res.iterations == 1
     res = criterion_radius(half_plane(1), Criterion.RE_DERIV)
-    assert res.clamped and res.iterations <= 3
+    assert res.clamped and res.iterations == 1
 
 
 def test_radius_tangent_that_stalls_on_the_root_ends_the_search():
@@ -1124,9 +1124,9 @@ def test_radius_falls_back_to_the_discs_when_the_search_reaches_the_cheap_bound(
 
 def test_radius_search_that_reaches_the_discs_bound_ends_within_tol_of_it(monkeypatch):
     """A discs' bound of 0.68 below the starlike radius 0.684 of z (1 + (z/0.9)^8)
-    fails unprobed: after the lift every probe passes, and the second search ends
-    within tol below that bound, with its five tangents spent and again from its
-    last passing probe, by bisection.  No probe and no jet evaluation reaches the
+    fails unprobed: after the lift every probe passes, and the second search, which
+    starts Newton from the last passing probe and spends no tangent, ends within
+    tol below that bound by bisection.  No probe and no jet evaluation reaches the
     bound."""
     tol = 1e-9  # the default
     c = np.zeros(10)
@@ -1138,6 +1138,42 @@ def test_radius_search_that_reaches_the_discs_bound_ends_within_tol_of_it(monkey
     assert 0.68 - tol <= res.radius < 0.68
     assert res.witness is not None and res.witness.r == res.radius
     assert probed and all(r < 0.68 for r in probed)
+
+
+def test_radius_search_lifted_past_the_cap_starts_from_the_cap(monkeypatch):
+    """s = z (1 + (z/1.05)^8): the guard s/z has a root-free bound of 0.778, below
+    the starlike radius 1.05 * 9^(-1/8) = 0.798, and a discs' bound of 1.05, past
+    the cap.  After one np.roots call the cap is probed, fails, and starts the
+    second search, which finds the radius within tol below the closed form.  The
+    guard s' of the convex solve has a discs' bound of 0.798, below the cap, and
+    the convex radius stays within tol of 1.05 / sqrt(3)."""
+    tol = 1e-9  # the default
+    roots = []
+    original = np.roots
+
+    def counting(c):
+        roots.append(c)
+        return original(c)
+
+    monkeypatch.setattr(np, "roots", counting)
+    probed = _record_evaluated_radii(monkeypatch)
+    c = np.zeros(10)
+    c[1], c[9] = 1.0, 1.05**-8
+    s = TruncatedSeries(c)
+    guard = _field_parts(s, Criterion.STARLIKENESS)[1]
+    expected = 1.05 * 9.0**-0.125
+    assert abs(expected - 0.7978274699) < 1e-10
+    assert _graeffe_bound(guard) < expected < RADIUS_CAP < _guard_bound(guard)
+    roots.clear()
+    res = criterion_radius(s, Criterion.STARLIKENESS)
+    assert len(roots) == 1
+    assert expected - tol <= res.radius < expected
+    assert RADIUS_CAP in probed
+    assert res.witness is not None and res.witness.min_value > 0.0
+    guard = _field_parts(s, Criterion.CONVEXITY)[1]
+    assert _guard_bound(guard) < RADIUS_CAP
+    res = criterion_radius(s, Criterion.CONVEXITY)
+    assert abs(res.radius - 1.05 / math.sqrt(3.0)) <= tol
 
 
 def test_radius_solves_make_no_root_finder_call_on_known_sections(monkeypatch):
