@@ -151,8 +151,9 @@ class RadiusResult:
     away from 0, and for local univalence, which probes nothing).
     At most ``tol`` above ``radius`` lies the guard bound, the cap, a failing
     probe or a point of a circle where the computed field is <= 0.
-    ``iterations`` counts boundary-scan probes: at most one probe of the cap,
-    plus ceil(log2(max(width, tol) / tol)) + 8 for each of the one or two
+    ``iterations`` counts boundary-scan probes: at most one confirming probe
+    of the round from a ``near`` start and one probe of the cap, plus
+    ceil(log2(max(width, tol) / tol)) + 8 for each of the one or two
     searches of :func:`criterion_radius`, each over a bracket of that width:
     at most 5 tangent probes, 3 Newton probes and that many bisections.
     """
@@ -480,6 +481,7 @@ def criterion_radius(
     criterion: Criterion,
     tol: float = 1e-9,
     grid_size: int = 2048,
+    near: BoundaryScan | None = None,
 ) -> RadiusResult:
     """Largest disc radius on which the criterion holds, by a bracketed root-find.
 
@@ -500,6 +502,15 @@ def criterion_radius(
     closes the bracket.  No evaluated point meets a pole.  Bounds of 0
     leave the empty bracket [0, 0]: radius 0.0, no witness, no probe.
 
+    ``near``, typically the witness of a neighbouring solve (the previous
+    section's, in ``verify.conjecture2_scan``), is a Newton start.  When
+    ``near.r`` lies below the first search's top, one :func:`_round` runs
+    from (``near.r``, ``near.argmin_theta``) before the cap, which is then
+    probed only if the round left the top unfailed.  A round that finds no
+    root keeps only the failing points it met, so a poor start costs at
+    most one round's jets and one probe; a ``near.r`` at or above the top is
+    ignored.  ``near=None`` is the solve with no start.
+
     Local univalence asks only that the guard s' be zero-free, which is what
     the discs' bound :func:`_guard_bound` certifies: its radius is that
     bound itself, with no probe and no witness, below the first zero of s'
@@ -518,6 +529,11 @@ def criterion_radius(
     if tol < 1e-12:
         raise ValidationError(f"tol must be at least 1e-12, got {tol}")
     grid_size = _integer(grid_size, 16, "grid_size")
+    if near is not None:
+        if not isinstance(near, BoundaryScan):
+            raise ValidationError(f"near must be a BoundaryScan, got {near!r}")
+        theta = _numbers(near.argmin_theta, np.float64, "near.argmin_theta", scalar=True)
+        near = (_radius(near.r), float(theta))
     if criterion is Criterion.LOCAL_UNIVALENCE:
         rho = _guard_bound(_field_parts(s, Criterion.RE_DERIV)[0])
         return RadiusResult(1.0 if rho > RADIUS_CAP else rho, None, 0)
@@ -528,15 +544,18 @@ def criterion_radius(
     # a search that reaches the root-free bound unfailed lets the tight discs lift it
     for bound in (_graeffe_bound, _guard_bound):
         rho = max(rho, bound(guard))
-        top = min(rho, RADIUS_CAP)
+        top = hi = min(rho, RADIUS_CAP)
         start = (r, found[1]) if found else None
-        if top < rho:
+        if near is not None and near[0] < top:
+            r, found, hi, start, probes = _round(scan, near, r, found, top, tol)
+        near = None
+        if top < rho and hi == top:
             fail = scan(RADIUS_CAP)
             probes += 1
             if fail[0] > 0.0:
                 return RadiusResult(1.0, BoundaryScan(RADIUS_CAP, *fail), probes)
             start = (RADIUS_CAP, fail[1])
-        r, hi, found, more = _search(scan, r, found, top, tol, start)
+        r, hi, found, more = _search(scan, r, found, hi, tol, start)
         probes += more
         if hi < top or top < rho:
             break
@@ -593,9 +612,10 @@ def _graeffe_bound(coeffs: np.ndarray) -> float:
     moduli = mag[mag > 0.0]
     if moduli.min() < 2.0**-32 or moduli.max() > 2.0**32:
         return 0.0
-    sign = np.resize([1.0, -1.0], d + 1)
     for _ in range(3):
-        h = np.convolve(h, h * sign)[::2]
+        alt = h.copy()  # p(-z)
+        alt[1::2] *= -1.0
+        h = np.convolve(h, alt)[::2]
         mag = np.convolve(mag, mag)[::2]
     gamma = 2.0 * (d + 3) * _UNIT_ROUNDOFF
     err = 8.0 * gamma * mag
@@ -694,18 +714,20 @@ def _search(
     r passes when the value of ``scan(r)`` is > 0.  ``lo`` passes, with the probe
     (value, theta) ``data``, or with value c_1 = 1 when ``data`` is None (lo = 0).
     ``hi`` fails unprobed here: a guard bound, the cap, or a point that failed.
-    A Newton ``start`` point (r, theta) is the cap's failure or a passing probe;
-    without one the midpoint is probed first.  From a passing probe (r, theta*, m)
-    the step is the Danskin tangent r - m r / (r d/dr phi) at theta*, at least 0.9
-    ``tol`` above r and capped at hi - (hi - r)/8, and a jet value <= 0 there fails
-    it unprobed.  A fifth tangent at or past ``hi`` (or with a slope that is not
-    negative) returns with ``hi`` unchanged.  Then, while hi - lo > ``tol``: from the
-    last failing point (or ``start``) :func:`_newton` finds the root, where a probe 0.45
-    ``tol`` below it passes, or fails and is the next start (three rounds at most),
-    and a jet value <= 0 0.45 ``tol`` above it becomes ``hi``; otherwise the
-    midpoint is probed.  So a search makes at most 5 tangent probes, 3 Newton
-    probes and ceil(log2(max(hi - lo, tol) / tol)) bisections.  Returns (lo, hi,
-    the probe at lo or ``data``, probes made), ``hi`` unchanged when nothing failed.
+    A Newton ``start`` point (r, theta) is the cap's failure, a passing probe or
+    the failed confirmation of the round that :func:`criterion_radius` runs from
+    its ``near`` start; without one the midpoint is probed first.  From a passing
+    probe (r, theta*, m) the step is the Danskin tangent r - m r / (r d/dr phi) at
+    theta*, at least 0.9 ``tol`` above r and capped at hi - (hi - r)/8, and a jet
+    value <= 0 there fails it unprobed.  A fifth tangent at or past ``hi`` (or with
+    a slope that is not negative) returns with ``hi`` unchanged.  Then, while
+    hi - lo > ``tol``: from the last failing point (or ``start``) a :func:`_round`
+    (three at most) finds the root, where a probe 0.45 ``tol`` below it passes, or
+    fails and is the next start, and a jet value <= 0 0.45 ``tol`` above it becomes
+    ``hi``; otherwise the midpoint is probed.  So a search makes at most 5 tangent
+    probes, 3 Newton probes and ceil(log2(max(hi - lo, tol) / tol)) bisections.
+    Returns (lo, hi, the probe at lo or ``data``, probes made), ``hi`` unchanged
+    when nothing failed.
     """
     if hi - lo <= tol:
         return lo, hi, data, 0
@@ -730,21 +752,8 @@ def _search(
     while hi - lo > tol:
         if start is not None and rounds < 3:
             rounds += 1
-            hi, root = _newton(scan.jet, *start, lo, hi, tol)
-            start = None
-            if root is None:
-                continue
-            x = root[0] - 0.45 * tol
-            if lo < x < hi:
-                found = scan(x)
-                probes += 1
-                if not found[0] > 0.0:
-                    hi, start = x, (x, found[1])
-                    continue
-                lo, data = x, found
-            x = root[0] + 0.45 * tol
-            if lo < x < hi and not scan.jet(cmath.rect(x, root[1]))[0] > 0.0:
-                hi = x
+            lo, data, hi, start, more = _round(scan, start, lo, data, hi, tol)
+            probes += more
             continue
         x = 0.5 * (lo + hi)
         found = scan(x)
@@ -754,6 +763,37 @@ def _search(
         else:
             hi, start = x, (x, found[1])
     return lo, hi, data, probes
+
+
+def _round(
+    scan: Callable[[float], tuple[float, float]],
+    start: tuple[float, float],
+    lo: float,
+    data: tuple | None,
+    hi: float,
+    tol: float,
+) -> tuple[float, tuple | None, float, tuple[float, float] | None, int]:
+    """One Newton round of :func:`_search` from the point ``start`` = (r, theta):
+    :func:`_newton` finds the root, a probe 0.45 ``tol`` below it passes (raising
+    ``lo``) or fails (the next start), and a jet value <= 0 0.45 ``tol`` above it
+    becomes ``hi``.  Returns (lo, data, hi, the next start or None, probes made),
+    with at most one probe; a round that finds no root probes nothing, though a
+    point where Newton found the field <= 0 still lowers ``hi``."""
+    hi, root = _newton(scan.jet, *start, lo, hi, tol)
+    if root is None:
+        return lo, data, hi, None, 0
+    probes = 0
+    x = root[0] - 0.45 * tol
+    if lo < x < hi:
+        found = scan(x)
+        probes = 1
+        if not found[0] > 0.0:
+            return lo, data, x, (x, found[1]), 1
+        lo, data = x, found
+    x = root[0] + 0.45 * tol
+    if lo < x < hi and not scan.jet(cmath.rect(x, root[1]))[0] > 0.0:
+        hi = x
+    return lo, data, hi, None, probes
 
 
 def _newton(

@@ -355,7 +355,11 @@ def conjecture2_scan(
 
     Computes the starlikeness radius of every section s_n,
     n_min <= n <= n_max, of every sampled member, and reports the minimum
-    observed together with its witness.  The open conjecture predicts every
+    observed together with its witness.  A member's first section is solved
+    from scratch, and each later one with the witness of the section before
+    it as ``criterion_radius``'s ``near`` start: s_{n+1} - s_n = a_{n+1}
+    z^{n+1} is small on the circles that matter, so that witness lies near
+    the next root.  The open conjecture predicts every
     radius is at least 1/3; this function only *records* whether an
     observation dips below ``CONJECTURE2_THRESHOLD``
     (``parameters["counterexample_found"]``), it never turns the conjecture
@@ -364,12 +368,13 @@ def conjecture2_scan(
     n_min = _integer(n_min, 2, "n_min")
     n_max = _integer(n_max, n_min, "n_max")
 
-    def starlike(s: TruncatedSeries) -> tuple[float, float]:
-        res = criterion_radius(s, Criterion.STARLIKENESS, tol, grid)
-        return res.radius, res.witness.argmin_theta if res.witness is not None else 0.0
-
     def measure(f: TruncatedSeries, _best: float) -> list[tuple[float, float]]:
-        return [starlike(section(f, n)) for n in range(n_min, n_max + 1)]
+        radii, near = [], None
+        for n in range(n_min, n_max + 1):
+            res = criterion_radius(section(f, n), Criterion.STARLIKENESS, tol, grid, near)
+            near = res.witness
+            radii.append((res.radius, near.argmin_theta if near is not None else 0.0))
+        return radii
 
     (best_radius, best_label, best_n, best_theta), f0_n2 = _sweep_minimum(
         count, atom_count, seed, n_min, n_max, measure

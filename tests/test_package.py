@@ -1,5 +1,7 @@
 """The package namespace re-exports exactly the submodules' public names."""
 
+import math
+
 import pytest
 
 import secradius
@@ -99,6 +101,19 @@ _SCALAR_TABLE = [
 ]
 
 
+#: A Newton start of ``radius.criterion_radius`` that it refuses: (near, message).
+_NEAR_CASES = [
+    ((0.3, 1.0, 0.0), "near must be a BoundaryScan"),
+    (radius.BoundaryScan(None, 1.0, 0.0), "must be a real number"),
+    (radius.BoundaryScan(True, 1.0, 0.0), "must be a real number"),
+    (radius.BoundaryScan(0.0, 1.0, 0.0), "must lie in"),
+    (radius.BoundaryScan(1.5, 1.0, 0.0), "must lie in"),
+    (radius.BoundaryScan(0.3, 1.0, "0"), "must be numbers"),
+    (radius.BoundaryScan(0.3, 1.0, [0.0, 1.0]), "must be a single number"),
+    (radius.BoundaryScan(0.3, 1.0, math.nan), "must be finite"),
+]
+
+
 def _argument_cases():
     for fn, kwargs, integers, radii in _ARGUMENT_TABLE:
         for name in integers:
@@ -122,6 +137,10 @@ def _argument_cases():
                              ([good], "must be a single number")):
             case_id = f"{fn.__name__}-{name}={bad!r}"
             yield pytest.param(fn, {**kwargs, name: bad}, message, id=case_id)
+    kwargs = {"s": _S, "criterion": "re-deriv", "grid_size": 64}
+    for bad, message in _NEAR_CASES:
+        case_id = f"criterion_radius-near={bad!r}"
+        yield pytest.param(radius.criterion_radius, {**kwargs, "near": bad}, message, id=case_id)
 
 
 def test_argument_table_covers_every_checked_function():
@@ -135,8 +154,9 @@ def test_every_order_and_radius_argument_fails_one_way(fn, kwargs, message):
     """An order, count, seed, grid or section index must be an integer (not a
     float or a bool), a radius a real number in range (an integer beyond
     float range included), and a tolerance or rotation factor one
-    number, not a sequence; anything else is a ValidationError that says
-    so, from every function alike."""
+    number, not a sequence, and a Newton start a BoundaryScan of a radius
+    and one angle; anything else is a ValidationError that says so, from
+    every function alike."""
     with pytest.raises(exceptions.ValidationError, match=message):
         fn(**kwargs)
 

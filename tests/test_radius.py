@@ -927,9 +927,9 @@ def test_radius_guard_bound_path_survives_misplaced_rho(monkeypatch, count_zeros
     assert count_zeros_radii == []
 
 
-def _solve_and_failing_radii(s, criterion, tol, grid):
-    """(result, radii): a solve and the radius of every point where it found the
-    field <= 0, by a probe or by a jet evaluation."""
+def _solve_and_failing_radii(s, criterion, tol, grid, near=None):
+    """(result, radii): a solve from the Newton start ``near`` and the radius of
+    every point where it found the field <= 0, by a probe or by a jet evaluation."""
     failing = []
     build, build_jet = radius_module._field_scan, radius_module._point_jet
 
@@ -959,25 +959,33 @@ def _solve_and_failing_radii(s, criterion, tol, grid):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(radius_module, "_field_scan", recording_build)
         mp.setattr(radius_module, "_point_jet", recording_jet)
-        res = criterion_radius(s, criterion, tol, grid)
+        res = criterion_radius(s, criterion, tol, grid, near)
     return res, failing
 
 
-def _assert_search_invariants(s, criterion, tol, grid):
+def _probe_bound(tol, near=None):
+    """RadiusResult's probe bound: a confirming probe of the round from ``near``,
+    a cap probe and two searches over brackets of width at most 1."""
+    return (near is not None) + 1 + 2 * (math.ceil(math.log2(1.0 / tol)) + 8)
+
+
+def _assert_search_invariants(s, criterion, tol, grid, near=None):
     """The probes stay within RadiusResult's bound, the radius passes boundary_min
     at the solve's grid, no point the solve found failing lies below it, and one
     lies at most tol above it, unless the solve clamps or its bracket ends at a
-    bound; |cmath.rect(r, theta)| rounds within a few ulps of r."""
-    res, failing = _solve_and_failing_radii(s, criterion, tol, grid)
-    assert res.iterations <= 1 + 2 * (math.ceil(math.log2(1.0 / tol)) + 8)  # a cap probe, two searches
+    bound; |cmath.rect(r, theta)| rounds within a few ulps of r.  Returns the
+    result."""
+    res, failing = _solve_and_failing_radii(s, criterion, tol, grid, near)
+    assert res.iterations <= _probe_bound(tol, near)
     if res.clamped:
         assert res.witness.min_value > 0.0
-        return
+        return res
     assert boundary_min(s, criterion, res.radius, grid).min_value > 0.0
     assert all(r > res.radius * (1.0 - 2.0**-50) for r in failing)
     den = _field_parts(s, criterion)[1]
     rho = max(_graeffe_bound(den), _guard_bound(den))
     assert min(failing, default=rho) <= res.radius + tol * (1.0 + 1e-6)
+    return res
 
 
 def test_radius_search_invariants_on_the_seed1_conjecture2_sections():
@@ -1003,6 +1011,99 @@ if HAS_HYPOTHESIS:
     def test_radius_search_invariants_on_sampled_members(seed, atom_count, n, criterion, tol, grid):
         f = synthesize_F(spec_from_seed(seed, atom_count), order=n)
         _assert_search_invariants(section(f, n), criterion, tol, grid)
+
+
+def test_radius_search_invariants_on_the_seed1_conjecture2_continuation():
+    """The seed-1 conjecture2 solves as conjecture2_scan makes them, each section
+    after a member's first from the witness of the one before, keep the search's
+    invariants, and the Newton starts save at least a third of the probes."""
+    members = [f0(30)] + [synthesize_F(spec, order=30) for spec in sample_specs(50, 3, 1)]
+    probes = 0
+    for f in members:
+        near = None
+        for n in range(2, 31):
+            res = _assert_search_invariants(section(f, n), Criterion.STARLIKENESS, 1e-7, 512, near)
+            near = res.witness
+            probes += res.iterations
+    assert probes <= 3000  # 4,379 with no starts
+
+
+if HAS_HYPOTHESIS:
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 6),
+        st.integers(3, 30),
+        st.sampled_from(FIELD_CRITERIA),
+        st.sampled_from([1e-12, 1e-9, 1e-7, 1e-3]),
+        st.sampled_from([64, 512, 2048]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_radius_search_invariants_from_the_previous_sections_witness(
+        seed, atom_count, n, criterion, tol, grid
+    ):
+        f = synthesize_F(spec_from_seed(seed, atom_count), order=n)
+        near = criterion_radius(section(f, n - 1), criterion, tol, grid).witness
+        _assert_search_invariants(section(f, n), criterion, tol, grid, near)
+
+
+#: (series, criterion, exact radius as a Fraction, or None for sqrt(13/96)):
+#: the closed-form solves of test_sharpness_radii_err_small_exactly.
+CLOSED_FORM_RADII = [
+    (S2, Criterion.RE_DERIV, Fraction(1, 3)),
+    (S2, Criterion.STARLIKENESS, Fraction(1, 3)),
+    (S2, Criterion.LOCAL_UNIVALENCE, Fraction(1, 3)),
+    (S2, Criterion.CONVEXITY, Fraction(1, 6)),
+    (S3, Criterion.RE_DERIV, None),
+]
+
+
+@pytest.mark.parametrize("tol, grid", [(1e-9, 2048), (1e-7, 512), (1e-12, 64)])
+def test_radius_from_an_adversarial_start_errs_small_exactly(tol, grid):
+    """A Newton start above the root, at the cap, near 0 or on the opposite side
+    of the circle leaves each closed-form radius within [true - tol, true],
+    compared exactly over the rationals, with the probes within their bound."""
+    tol_q = Fraction(tol)
+    for s, criterion, exact in CLOSED_FORM_RADII:
+        plain = criterion_radius(s, criterion, tol, grid)
+        theta = plain.witness.argmin_theta if plain.witness is not None else 0.0
+        root = plain.radius
+        starts = [
+            BoundaryScan(1.5 * root, 1.0, theta),  # below each guard's first zero
+            BoundaryScan(RADIUS_CAP, 1.0, theta),
+            BoundaryScan(1e-3, 1.0, theta),
+            BoundaryScan(root, 1.0, theta + math.pi),
+            BoundaryScan(1.5 * root, -1.0, theta + math.pi),
+        ]
+        for near in starts:
+            res = criterion_radius(s, criterion, tol, grid, near)
+            r = Fraction(res.radius)
+            if exact is None:
+                assert r * r <= Fraction(13, 96) <= (r + tol_q) ** 2, near
+            else:
+                assert exact - tol_q <= r <= exact, (criterion, near)
+            assert res.iterations <= _probe_bound(tol, near), (criterion, near)
+
+
+def test_radius_with_no_start_is_the_radius_without_the_keyword():
+    """near=None is the solve with no keyword, bit for bit: radius, witness and
+    probes, on sampled and closed-form sections, clamped ones included."""
+    sections = _sampled_sections() + [f0(n) for n in range(2, 31)] + [half_plane(1)]
+    for s in sections:
+        for criterion in Criterion:
+            plain = criterion_radius(s, criterion, 1e-9, 512)
+            assert criterion_radius(s, criterion, 1e-9, 512, near=None) == plain
+
+
+def test_radius_ignores_a_start_at_or_above_the_search_top():
+    """A witness clamped at the cap, or any start at or above the first search's
+    top, runs no Newton round: the solve is the one with no start."""
+    for s in _sampled_sections()[:11] + [f0(n) for n in range(2, 11)]:
+        plain = criterion_radius(s, Criterion.STARLIKENESS, 1e-7, 512)
+        top = min(_graeffe_bound(_field_parts(s, Criterion.STARLIKENESS)[1]), RADIUS_CAP)
+        for r in (RADIUS_CAP, top):
+            near = BoundaryScan(r, 0.5, 1.0)
+            assert criterion_radius(s, Criterion.STARLIKENESS, 1e-7, 512, near) == plain
 
 
 def test_radius_without_newton_is_the_bisection_radius(monkeypatch):

@@ -377,6 +377,23 @@ def test_conjecture2_scan_matches_brute_force_sweep(monkeypatch):
     assert report.items[1].witness == (f0_value, f0_theta)
 
 
+def test_conjecture2_scan_from_witnesses_finds_the_minimum_of_solves_from_scratch():
+    """Each section solved from the witness of the one before finds the same
+    minimum radius, spec and order as a loop of solves with no start (count 5,
+    seed 1, n = 2..30, grid 512, tol 1e-7): f0's n = 2 is solved with no start."""
+    report = conjecture2_scan(count=5, seed=1)
+
+    def starlike(s):
+        res = criterion_radius(s, Criterion.STARLIKENESS, 1e-7, 512)
+        return res.radius, res.witness.argmin_theta if res.witness is not None else 0.0
+
+    value, label, n, theta, _c = min(_direct_sweep(5, 3, 1, 2, 30, starlike), key=lambda row: row[0])
+    params = report.parameters
+    assert report.items[0].computed == value
+    assert (params["min_radius_spec"], params["min_radius_n"]) == (label, n)
+    assert params["min_radius_theta"] == theta
+
+
 def test_sweep_measures_the_exact_f0_sections():
     """The sweep synthesizes f0 as the single atom at x = 1, and the closed-form
     product makes every section it measures zoo.f0's, bit for bit."""
